@@ -14,9 +14,10 @@
 //!    under per-rank DPU capacity.
 //!
 //! The plan carries analytic tiered-vs-pure-MRAM cost estimates (the
-//! tiering knee of `BENCH_placement.json`) and is consumed by
-//! `updlrm_core::TieredEngine`, which must produce bit-identical
-//! pooled embeddings to the untiered single-rank engine under *any*
+//! tiering knee of `BENCH_placement.json`) and is lowered by
+//! `updlrm_core::UpdlrmEngine::from_plan` into the same engine the
+//! partitioning strategies build, which must produce pooled
+//! embeddings bit-identical to a strategy-built engine under *any*
 //! valid plan — the differential suite in `updlrm-core` enforces that.
 //!
 //! ## Example

@@ -1,8 +1,9 @@
 //! Scheduler × tiered engine (satellite 2): batches formed by
 //! [`BatchPolicy`](scheduler::BatchPolicy) and served through a
-//! multi-rank [`TieredEngine`] still satisfy the PR 5 accounting
-//! identities — and the pooled embeddings bit-match a direct
-//! `serve_stream` of the same formed sequence on a fresh tiered engine.
+//! multi-rank plan-built engine ([`TieredEngine::new`]) still satisfy
+//! the scheduler's accounting identities — and the pooled embeddings bit-match
+//! a direct `serve_stream` of the same formed sequence on a fresh
+//! plan-built engine.
 //! The scheduler is a front-end for *any* [`BatchServer`]; swapping the
 //! numerics back-end must change neither the bookkeeping nor the bits.
 
@@ -13,7 +14,7 @@ use proptest::TestRunner;
 use scheduler::{
     assemble_into, report_is_finite, OverloadPolicy, SchedConfig, SchedReport, Scheduler,
 };
-use updlrm_core::{TieredEngine, UpdlrmConfig};
+use updlrm_core::{TieredEngine, UpdlrmConfig, UpdlrmEngine};
 use upmem_sim::RankTopology;
 use workloads::{ArrivalProcess, DatasetSpec, FreqProfile, TraceConfig, Workload};
 
@@ -52,7 +53,7 @@ fn setup() -> (DatasetSpec, Workload, Vec<EmbeddingTable>, PlacementPlan) {
     (spec, workload, tables, p)
 }
 
-fn tiered(tables: &[EmbeddingTable], p: &PlacementPlan) -> TieredEngine {
+fn tiered(tables: &[EmbeddingTable], p: &PlacementPlan) -> UpdlrmEngine {
     let config = UpdlrmConfig {
         batch_size: ENGINE_BATCH,
         ..UpdlrmConfig::default()
@@ -61,7 +62,7 @@ fn tiered(tables: &[EmbeddingTable], p: &PlacementPlan) -> TieredEngine {
 }
 
 fn run_once(
-    eng: &mut TieredEngine,
+    eng: &mut UpdlrmEngine,
     wl: &Workload,
     cfg: SchedConfig,
 ) -> (SchedReport, Vec<Vec<u32>>, Vec<Vec<Matrix>>) {

@@ -71,10 +71,10 @@ struct FormedBatch {
 /// and all steady-state scratch (preallocated per run; the event loops
 /// do not allocate).
 #[derive(Debug)]
-struct Lane<E> {
+struct Lane {
     spec: TenantSpec,
     workload: Workload,
-    engine: E,
+    engine: UpdlrmEngine,
     policy: BatchPolicy,
     dpu_offset: usize,
     formed_ids: Vec<u32>,
@@ -113,7 +113,7 @@ fn blank_report(requests: u64, offered_qps: f64) -> SchedReport {
     }
 }
 
-impl<E: BatchServer> Lane<E> {
+impl Lane {
     /// Phase 1: replay this tenant's arrival trace through its
     /// admission queue and engine, recording each formed batch's
     /// launch instant and service time. Mirrors
@@ -373,13 +373,13 @@ pub fn fleet_report_is_finite(report: &FleetReport) -> bool {
 /// N tenants sharing one modeled DPU fleet. See the module docs for
 /// the two-phase serving design.
 #[derive(Debug)]
-pub struct TenantFleet<E: BatchServer = UpdlrmEngine> {
+pub struct TenantFleet {
     cfg: FleetConfig,
-    lanes: Vec<Lane<E>>,
+    lanes: Vec<Lane>,
     metrics: MetricsRegistry,
 }
 
-impl TenantFleet<UpdlrmEngine> {
+impl TenantFleet {
     /// Builds a fleet of [`UpdlrmEngine`]s, one per spec: each
     /// tenant's catalog is generated from its dataset/seed (integer-
     /// valued rows, so pooled sums are order-exact), its tables
@@ -426,18 +426,20 @@ impl TenantFleet<UpdlrmEngine> {
         }
         Self::with_engines(cfg, parts)
     }
-}
 
-impl<E: BatchServer> TenantFleet<E> {
     /// Builds a fleet from pre-constructed engines (one per tenant) —
-    /// the escape hatch for tiered or otherwise custom back-ends. Each
-    /// workload must carry an open-loop arrival trace.
+    /// the escape hatch for plan-built ([`UpdlrmEngine::from_plan`]) or
+    /// otherwise custom engines. Each workload must carry an open-loop
+    /// arrival trace.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] on empty tenant lists, invalid
     /// specs or an invalid fleet config.
-    pub fn with_engines(cfg: FleetConfig, parts: Vec<(TenantSpec, Workload, E)>) -> Result<Self> {
+    pub fn with_engines(
+        cfg: FleetConfig,
+        parts: Vec<(TenantSpec, Workload, UpdlrmEngine)>,
+    ) -> Result<Self> {
         cfg.validate().map_err(CoreError::InvalidConfig)?;
         if parts.is_empty() {
             return Err(CoreError::InvalidConfig(
@@ -502,7 +504,7 @@ impl<E: BatchServer> TenantFleet<E> {
     }
 
     /// Borrow a tenant's engine (for per-tenant telemetry).
-    pub fn engine_mut(&mut self, tenant: usize) -> &mut E {
+    pub fn engine_mut(&mut self, tenant: usize) -> &mut UpdlrmEngine {
         &mut self.lanes[tenant].engine
     }
 
@@ -611,7 +613,7 @@ impl<E: BatchServer> TenantFleet<E> {
 
     /// Serves one batch on the shared timeline; returns the new fleet
     /// clock. Latency = shared completion − original arrival.
-    fn dispatch(lane: &mut Lane<E>, head: &mut usize, now: u64) -> u64 {
+    fn dispatch(lane: &mut Lane, head: &mut usize, now: u64) -> u64 {
         let b = lane.batches[*head];
         let start = now.max(b.ready_ns);
         let completion = start.saturating_add(b.service_ns);

@@ -4,12 +4,12 @@
 //! one strategy, one engine, one queue. Real PIM deployments
 //! consolidate — several recommendation models share the DIMMs —
 //! so this crate adds the missing layer: N independent
-//! [`UpdlrmEngine`](updlrm_core::UpdlrmEngine)/
-//! [`TieredEngine`](updlrm_core::TieredEngine) instances (one per
-//! tenant, each with its own catalog, partitioning strategy and
-//! embedding dtype) time-sharing one modeled fleet under a weighted
-//! deficit-round-robin arbiter, with per-tenant admission queues,
-//! deadlines, queue caps and overload policies ([`TenantSpec`]).
+//! [`UpdlrmEngine`](updlrm_core::UpdlrmEngine) instances (one per
+//! tenant, each with its own catalog, partitioning strategy or
+//! placement plan, and embedding dtype) time-sharing one modeled fleet
+//! under a weighted deficit-round-robin arbiter, with per-tenant
+//! admission queues, deadlines, queue caps and overload policies
+//! ([`TenantSpec`]).
 //!
 //! The headline contracts (see [`fleet`] for the mechanism):
 //!

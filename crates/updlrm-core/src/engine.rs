@@ -1,9 +1,9 @@
 //! The UpDLRM embedding engine: Fig. 4's three-stage pipeline.
 //!
-//! Pre-processing (untimed, as in the paper) partitions each embedding
-//! table with the configured strategy and loads the tiles — and, under
-//! cache-aware partitioning, the cached partial-sum rows — into DPU
-//! MRAM. Each inference batch then runs:
+//! Pre-processing (untimed, as in the paper) places each embedding
+//! table's rows and loads the tiles — and, under cache-aware
+//! partitioning, the cached partial-sum rows — into DPU MRAM. Each
+//! inference batch then runs:
 //!
 //! 1. **stage 1** — the host routes every lookup to its row partition,
 //!    builds per-tasklet reference streams and scatters them CPU→MRAM;
@@ -15,18 +15,64 @@
 //! The per-stage wall times form the Fig. 10 latency breakdown; the
 //! pooled embeddings are bit-compatible with the
 //! [`dlrm_model`] reference (exactly so for integer-valued tables).
+//!
+//! ## One engine, two ways to place rows
+//!
+//! Every engine runs on a [`Fleet`] and keeps one layout per table:
+//! which `(rank, DPU)` holds each `(partition, column slice)`, and
+//! where each row lives. A row lives in one of four places:
+//!
+//! 1. **cold partition** — exactly one partition's MRAM, past the
+//!    replica block; the reference goes to that partition;
+//! 2. **replicated block** — every partition's replica block at the
+//!    same slot; traffic is spread round-robin by `(row + sample) %
+//!    partitions`;
+//! 3. **co-occurrence cache** (cache-aware partitioning only) — cached
+//!    partial-sum combinations in each partition's cache region;
+//! 4. **host tier** — a host-DRAM store; the host probes it during
+//!    stage-1 routing (`host_probe_ns` per hit) and folds the row into
+//!    the pooled output during the combine (`host_combine_ns_per_add`
+//!    per add), with no PIM traffic at all. Host-tier hits are reported
+//!    in [`EmbeddingBreakdown::cache_hits`], like cache hits.
+//!
+//! [`UpdlrmEngine::new`] / [`UpdlrmEngine::from_workload`] partition
+//! with a [`PartitionStrategy`] (tiers 1–3) onto a one-rank fleet with
+//! zero rank tolls, which costs exactly what a single [`upmem_sim::PimSystem`]
+//! does. [`UpdlrmEngine::from_plan`] lowers a
+//! [`placement::PlacementPlan`] (tiers 1, 2 and 4) onto the plan's
+//! multi-rank fleet, one full-width partition per DPU. Per batch each
+//! phase runs rank by rank and is combined with the fleet's rules
+//! ([`Fleet::combine_transfers`] / [`Fleet::combine_launches`]): rank
+//! buses move bytes in parallel, the host driver pays `rank_base_ns`
+//! per rank touched by a transfer phase and `rank_launch_ns` per
+//! `(table, rank)` launch (DESIGN.md §4.9).
+//!
+//! **Functional contract** (enforced by `tests/tiered_diff.rs`): under
+//! *any* valid plan the pooled embeddings equal a strategy-built
+//! engine's on the same trace — bit-identical for integer-valued
+//! tables, where every partial sum is exact. Timing differs by design;
+//! numerics must not.
 
 use crate::config::UpdlrmConfig;
 use crate::error::{CoreError, Result};
 use crate::kernel::{build_stream_into, DpuTask, EmbeddingKernel, StreamBuilder, CACHE_REF_BIT};
 use crate::partition::{self, PartitionStrategy, RowAssignment};
 use crate::replan::{self, ReplanPolicy};
+use crate::serve::PipelineMode;
 use crate::telemetry::{MetricsRegistry, Snapshot};
 use crate::tiling::{Tiling, TilingProblem};
 use cooccur_cache::{CacheHit, CacheListSet, CooccurGraph, LookupScratch, PartialSumCache};
 use dlrm_model::{quant, simd, Dlrm, EmbedDtype, EmbeddingTable, Matrix, QueryBatch};
-use upmem_sim::{Cycles, DpuId, LaunchReport, PimConfig, PimSystem};
+use placement::{PlacementPlan, TablePlacement};
+use upmem_sim::{Cycles, DpuId, Fleet, LaunchReport, RankCostModel, RankTopology, TransferReport};
 use workloads::{FreqProfile, Workload};
+
+// The plan's row sentinels are the engine's, so a plan's row maps lower
+// into a `RowAssignment` unchanged.
+const _: () = assert!(
+    placement::HOST_ROW_PART == partition::HOST_ROW_PART
+        && placement::REPLICATED_ROW_PART == partition::REPLICATED_ROW_PART
+);
 
 /// Per-batch latency breakdown of the embedding layer (Fig. 10).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -83,6 +129,28 @@ impl EmbeddingBreakdown {
     }
 }
 
+/// The plan-engine constructor under its earlier name:
+/// [`TieredEngine::new`] forwards to [`UpdlrmEngine::from_plan`].
+#[derive(Debug)]
+pub enum TieredEngine {}
+
+impl TieredEngine {
+    /// Same as [`UpdlrmEngine::from_plan`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`UpdlrmEngine::from_plan`].
+    // Returns the one engine type; `TieredEngine` is only a name.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(
+        config: UpdlrmConfig,
+        plan: &PlacementPlan,
+        tables: &[EmbeddingTable],
+    ) -> Result<UpdlrmEngine> {
+        UpdlrmEngine::from_plan(config, plan, tables)
+    }
+}
+
 /// Summary of one table's placement, for analyses and figures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableReport {
@@ -115,13 +183,23 @@ struct CacheState {
 /// the other slot (see [`crate::serve`]).
 pub(crate) const STAGING_SLOTS: usize = 2;
 
+/// One table's execution layout: everything route / scatter / launch /
+/// gather_combine need, whichever constructor built it.
 struct TableState {
     tiling: Tiling,
+    /// Where each row lives: a partition slot, the replica block
+    /// ([`partition::REPLICATED_ROW_PART`]), the cache
+    /// ([`partition::CACHED_ROW_SLOT`]) or the host tier
+    /// ([`partition::HOST_ROW_PART`]).
     assignment: RowAssignment,
     cache: Option<CacheState>,
     /// Rows replicated into every partition, in replica-slot order.
     replicas: Vec<u32>,
-    dpu_base: usize,
+    /// `(rank, rank-local DPU)` of each `(partition, column slice)`,
+    /// indexed `p * col_slices + c`.
+    locs: Vec<(usize, DpuId)>,
+    /// Host-tier rows in host-slot order, `dim` f32s each.
+    host_store: Vec<f32>,
     /// Double-buffered EMT region bases, indexed by the engine's
     /// `active_emt`. Equal when replanning is off (one region).
     emt_bases: [u32; 2],
@@ -138,8 +216,8 @@ struct TableState {
 }
 
 impl TableState {
-    fn dpu(&self, part: usize, slice: usize) -> DpuId {
-        DpuId((self.dpu_base + part * self.tiling.col_slices + slice) as u32)
+    fn dpu(&self, part: usize, slice: usize) -> (usize, DpuId) {
+        self.locs[part * self.tiling.col_slices + slice]
     }
 
     fn input_base(&self, slot: usize) -> u32 {
@@ -149,6 +227,27 @@ impl TableState {
     fn output_base(&self, slot: usize) -> u32 {
         self.slots[slot].1
     }
+}
+
+/// Host-tier costs of a plan-built engine (zero for strategy-built
+/// engines, which have no host tier).
+#[derive(Clone, Copy, Default)]
+struct HostTierCost {
+    /// Host ns to probe the host-tier index, per hit.
+    probe_ns: f64,
+    /// Host ns per scalar add when folding a host-tier row.
+    combine_ns_per_add: f64,
+}
+
+/// One rank's fixed share of the per-batch transfers, in global
+/// `(table, partition, column slice)` order.
+struct RankIo {
+    rank: usize,
+    /// Reference streams this rank receives: stream index and its
+    /// broadcast group (rank-local ids of the partition's slices).
+    streams: Vec<(usize, Vec<DpuId>)>,
+    /// `(dpu, table, col slice)` per stage-3 gather request.
+    gathers: Vec<(DpuId, usize, usize)>,
 }
 
 /// The per-DPU MRAM region plan shared by every (partition, slice) of
@@ -445,21 +544,32 @@ struct BatchScratch {
     /// Cache lookup working set (cache-aware partitioning only).
     lookup: LookupScratch,
     hit: CacheHit,
-    /// Stage-3 gather request list (lengths depend on the batch size).
-    requests: Vec<(DpuId, u32, usize)>,
-    /// Staging buffer for all gathered partial-sum rows.
-    gather_buf: Vec<u8>,
-    /// Recycled per-launch report (per-DPU stats vectors reused).
-    launch: LaunchReport,
-    /// Per-DPU cycle counts across all table groups of one batch.
+    /// Host-tier hits per staging slot, per table: `(sample, host slot)`
+    /// in route order. Per slot because a double-buffered batch's host
+    /// rows are combined after the next batch has been routed.
+    host_refs: [Vec<Vec<(u32, u32)>>; STAGING_SLOTS],
+    /// Per rank in use: stage-3 gather request list (lengths depend on
+    /// the batch size).
+    requests: Vec<Vec<(DpuId, u32, usize)>>,
+    /// Per rank in use: staging buffer for its gathered partial sums.
+    gather_bufs: Vec<Vec<u8>>,
+    /// Per-rank transfer reports of the current phase.
+    transfers: Vec<TransferReport>,
+    /// One recycled launch report per `(table, rank)` launch group.
+    launches: Vec<LaunchReport>,
+    /// Per-DPU cycle counts across all launch groups of one batch.
     all_cycles: Vec<u64>,
     /// Returned pooled-output sets available for reuse (see
     /// [`UpdlrmEngine::recycle_pooled`]).
     matrix_pool: Vec<Vec<Matrix>>,
 }
 
-/// The UpDLRM system: a PIM array loaded with partitioned embedding
-/// tables, executing the three-stage embedding pipeline per batch.
+/// The UpDLRM system: a PIM fleet loaded with placed embedding tables,
+/// executing the three-stage embedding pipeline per batch.
+///
+/// Built from a partitioning strategy ([`UpdlrmEngine::new`],
+/// [`UpdlrmEngine::from_workload`]) or from a placement plan
+/// ([`UpdlrmEngine::from_plan`]); both run the same serving path.
 ///
 /// ## Example
 ///
@@ -487,20 +597,20 @@ struct BatchScratch {
 /// # }
 /// ```
 pub struct UpdlrmEngine {
-    sys: PimSystem,
+    fleet: Fleet,
     config: UpdlrmConfig,
     tables: Vec<TableState>,
-    /// One prebuilt kernel per (table, staging slot): tasks are
+    host_cost: HostTierCost,
+    /// One prebuilt kernel per (table, staging slot), keyed by rank-local
+    /// DPU id (a table's tasks are identical on every DPU): tasks are
     /// registered once at construction; only each task's `n_samples` is
     /// updated per launch, so stage 2 builds nothing per batch.
     kernels: Vec<[EmbeddingKernel; STAGING_SLOTS]>,
-    /// Launch-order DPU ids per table (row-part major, col-slice minor).
-    table_ids: Vec<Vec<DpuId>>,
-    /// Broadcast target group per reference stream, aligned with
-    /// `BatchScratch::streams`.
-    stream_groups: Vec<Vec<DpuId>>,
-    /// `(table, col slice)` per stage-3 gather request, in request order.
-    gather_meta: Vec<(usize, usize)>,
+    /// Launch groups per table: `(rank, rank-local ids)` by ascending
+    /// rank, ids row-part major, col-slice minor.
+    launch_groups: Vec<Vec<(usize, Vec<DpuId>)>>,
+    /// Per rank in use, ascending: its scatter and gather lists.
+    rank_io: Vec<RankIo>,
     scratch: BatchScratch,
     pub(crate) serve_scratch: crate::serve::ServeScratch,
     /// Telemetry recorder; a disabled registry (the default) makes every
@@ -519,11 +629,35 @@ pub struct UpdlrmEngine {
 impl std::fmt::Debug for UpdlrmEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UpdlrmEngine")
-            .field("nr_dpus", &self.config.nr_dpus)
+            .field("topology", &self.fleet.topology())
             .field("strategy", &self.config.strategy)
             .field("tables", &self.tables.len())
             .finish()
     }
+}
+
+/// Maps an MRAM overflow while planning regions to a capacity error.
+fn capacity_error(e: upmem_sim::SimError) -> CoreError {
+    match e {
+        upmem_sim::SimError::MramOutOfBounds {
+            addr,
+            len,
+            capacity,
+        } => CoreError::CapacityExceeded {
+            partition: 0,
+            required: addr as usize + len,
+            available: capacity,
+        },
+        other => CoreError::Sim(other),
+    }
+}
+
+/// Where routing sends one EMT-path reference.
+enum RefTarget {
+    /// `(partition, EMT slot)`.
+    Part(usize, u32),
+    /// Host-store slot.
+    Host(u32),
 }
 
 impl UpdlrmEngine {
@@ -570,46 +704,143 @@ impl UpdlrmEngine {
                 tables.len()
             )));
         }
-        let mut sys = PimSystem::new(PimConfig {
-            nr_dpus: config.nr_dpus,
-            tasklets: config.tasklets,
-            cost: config.cost.clone(),
-            host_threads: config.host_threads,
-        })?;
-
         let dpus_per_table = config.nr_dpus / tables.len();
-        let mut states = Vec::with_capacity(tables.len());
-        for (t, table) in tables.iter().enumerate() {
-            let state = Self::build_table(
-                &config,
-                table,
-                &profiles[t],
-                cache_lists.get(t),
-                t * dpus_per_table,
-                dpus_per_table,
-            )?;
-            Self::load_table(&mut sys, table, &state, config.embed_dtype)?;
-            // Pre-commit each DPU's bank through the last staging slot:
-            // the regions only the kernel writes (reference streams,
-            // partial-sum outputs) would otherwise regrow the bank —
-            // with whole-bank memcpys — across the first few launches.
-            let mram_end = state.slots[STAGING_SLOTS - 1].1 as usize
+        let states = tables
+            .iter()
+            .enumerate()
+            .map(|(t, table)| {
+                Self::build_table(
+                    &config,
+                    table,
+                    &profiles[t],
+                    cache_lists.get(t),
+                    t * dpus_per_table,
+                    dpus_per_table,
+                )
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let topology = RankTopology {
+            nr_ranks: 1,
+            dpus_per_rank: config.nr_dpus,
+        };
+        let free_ranks = RankCostModel {
+            rank_base_ns: 0.0,
+            rank_launch_ns: 0.0,
+        };
+        Self::assemble(
+            config,
+            topology,
+            free_ranks,
+            HostTierCost::default(),
+            tables,
+            states,
+        )
+    }
+
+    /// Lowers a [`PlacementPlan`] into an engine on the plan's fleet:
+    /// one full-width partition per DPU (`col_slices = 1`), the plan's
+    /// host, replicated and cold tiers, its ranks and rank costs. The
+    /// plan must describe exactly `tables` (count, rows, dims). From
+    /// `config` everything but `nr_dpus` and `strategy` applies; the
+    /// plan governs placement and topology.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] when `config.replan` is enabled (a
+    /// replan would refit rows by `config.strategy` and overwrite the
+    /// plan's host and replica tiers), when the plan fails its own
+    /// invariants or does not match `tables`, when a row exceeds one
+    /// DMA transfer (2048 B) or is not 8-byte aligned;
+    /// [`CoreError::CapacityExceeded`] when the MRAM regions overflow;
+    /// simulator errors propagate.
+    pub fn from_plan(
+        config: UpdlrmConfig,
+        plan: &PlacementPlan,
+        tables: &[EmbeddingTable],
+    ) -> Result<Self> {
+        if config.replan.enabled() {
+            return Err(CoreError::InvalidConfig(format!(
+                "replan policy {} cannot run on a placement plan: replanning refits rows by \
+                 the partitioning strategy and would overwrite the plan's host and replica tiers",
+                config.replan.as_string()
+            )));
+        }
+        plan.check_invariants()
+            .map_err(|e| CoreError::InvalidConfig(format!("placement plan: {e}")))?;
+        if tables.len() != plan.tables.len() {
+            return Err(CoreError::InvalidConfig(format!(
+                "plan places {} tables, engine got {}",
+                plan.tables.len(),
+                tables.len()
+            )));
+        }
+        let topology = plan.config.topology;
+        let states = tables
+            .iter()
+            .zip(&plan.tables)
+            .enumerate()
+            .map(|(t, (table, tp))| Self::plan_table(&config, t, table, tp, topology))
+            .collect::<Result<Vec<_>>>()?;
+        let host_cost = HostTierCost {
+            probe_ns: plan.config.host_probe_ns,
+            combine_ns_per_add: plan.config.host_combine_ns_per_add,
+        };
+        Self::assemble(
+            config,
+            topology,
+            plan.config.rank_cost.clone(),
+            host_cost,
+            tables,
+            states,
+        )
+    }
+
+    /// Builds the fleet, loads every table's tiles, and fixes the
+    /// batch-independent launch/scatter/gather structure for the
+    /// engine's lifetime so no per-batch call rebuilds it.
+    fn assemble(
+        config: UpdlrmConfig,
+        topology: RankTopology,
+        rank_cost: RankCostModel,
+        host_cost: HostTierCost,
+        tables: &[EmbeddingTable],
+        states: Vec<TableState>,
+    ) -> Result<Self> {
+        let mut fleet = Fleet::new(
+            topology,
+            config.tasklets,
+            config.cost.clone(),
+            config.host_threads,
+            rank_cost,
+        )?;
+        // Staging slots the configured schedule writes (see
+        // `serve_stream`): the double-buffered one alternates both.
+        let slots_used = match config.pipeline_mode {
+            PipelineMode::DoubleBuf if config.queue_depth >= 2 => STAGING_SLOTS,
+            _ => 1,
+        };
+        for (table, state) in tables.iter().zip(&states) {
+            Self::load_table(&mut fleet, table, state, config.embed_dtype)?;
+            // Pre-commit each DPU's bank through the last staging slot
+            // in use: the regions only the kernel writes (reference
+            // streams, partial-sum outputs) would otherwise regrow the
+            // bank — with whole-bank memcpys — across the first few
+            // launches.
+            let mram_end = state.slots[slots_used - 1].1 as usize
                 + config.batch_size * state.tiling.row_bytes() * 2;
-            for p in 0..state.tiling.row_parts {
-                for c in 0..state.tiling.col_slices {
-                    sys.dpu_mut(state.dpu(p, c))?.mram_mut().commit(mram_end);
-                }
+            for &(rank, dpu) in &state.locs {
+                fleet
+                    .rank_mut(rank)?
+                    .dpu_mut(dpu)?
+                    .mram_mut()
+                    .commit(mram_end);
             }
-            states.push(state);
         }
 
-        // Batch-independent launch/scatter/gather structure, fixed for
-        // the engine's lifetime so no per-batch call rebuilds it.
         let mut kernels = Vec::with_capacity(states.len());
-        let mut table_ids = Vec::with_capacity(states.len());
-        let mut stream_groups = Vec::new();
-        let mut gather_meta = Vec::new();
+        let mut launch_groups = Vec::with_capacity(states.len());
         let mut streams = Vec::new();
+        let mut rank_io: Vec<RankIo> = Vec::new();
         for (t, state) in states.iter().enumerate() {
             let kset: [EmbeddingKernel; STAGING_SLOTS] = std::array::from_fn(|slot| {
                 let mut kernel = EmbeddingKernel::with_dtype(
@@ -617,44 +848,59 @@ impl UpdlrmEngine {
                     config.dedup,
                     config.embed_dtype,
                 );
-                for p in 0..state.tiling.row_parts {
-                    for c in 0..state.tiling.col_slices {
-                        kernel.set_task(
-                            state.dpu(p, c),
-                            DpuTask {
-                                emt_base: state.emt_bases[0],
-                                cache_base: state.cache_bases[0],
-                                input_base: state.input_base(slot),
-                                output_base: state.output_base(slot),
-                                n_samples: 0,
-                            },
-                        );
-                    }
+                for &(_, dpu) in &state.locs {
+                    kernel.set_task(
+                        dpu,
+                        DpuTask {
+                            emt_base: state.emt_bases[0],
+                            cache_base: state.cache_bases[0],
+                            input_base: state.input_base(slot),
+                            output_base: state.output_base(slot),
+                            n_samples: 0,
+                        },
+                    );
                 }
                 kernel
             });
-            let mut ids = Vec::new();
+            let mut groups: Vec<(usize, Vec<DpuId>)> = Vec::new();
             for p in 0..state.tiling.row_parts {
+                let (rank, _) = state.dpu(p, 0);
+                let pos = match rank_io.iter().position(|io| io.rank == rank) {
+                    Some(pos) => pos,
+                    None => {
+                        rank_io.push(RankIo {
+                            rank,
+                            streams: Vec::new(),
+                            gathers: Vec::new(),
+                        });
+                        rank_io.len() - 1
+                    }
+                };
+                let mut group = Vec::with_capacity(state.tiling.col_slices);
                 for c in 0..state.tiling.col_slices {
-                    ids.push(state.dpu(p, c));
-                    gather_meta.push((t, c));
+                    let (r, dpu) = state.dpu(p, c);
+                    debug_assert_eq!(r, rank, "a partition's slices share one rank");
+                    group.push(dpu);
+                    match groups.iter_mut().find(|(gr, _)| *gr == rank) {
+                        Some((_, ids)) => ids.push(dpu),
+                        None => groups.push((rank, vec![dpu])),
+                    }
+                    rank_io[pos].gathers.push((dpu, t, c));
                 }
-                stream_groups.push(
-                    (0..state.tiling.col_slices)
-                        .map(|c| state.dpu(p, c))
-                        .collect(),
-                );
+                rank_io[pos].streams.push((streams.len(), group));
                 streams.push(StreamSlot {
                     table: t,
                     part: p,
                     bytes: Vec::new(),
                 });
             }
+            groups.sort_by_key(|(rank, _)| *rank);
             kernels.push(kset);
-            table_ids.push(ids);
+            launch_groups.push(groups);
         }
+        rank_io.sort_by_key(|io| io.rank);
 
-        let metrics = MetricsRegistry::new(config.telemetry, config.nr_dpus);
+        let metrics = MetricsRegistry::new(config.telemetry, topology.nr_dpus());
         let (host_tables, drift) = if config.replan.enabled() {
             (
                 tables.to_vec(),
@@ -668,16 +914,25 @@ impl UpdlrmEngine {
         } else {
             (Vec::new(), None)
         };
+        let n_tables = states.len();
+        let n_ranks = rank_io.len();
+        let n_groups = launch_groups.iter().map(Vec::len).sum();
+        let mut launches = Vec::new();
+        launches.resize_with(n_groups, LaunchReport::default);
         Ok(UpdlrmEngine {
-            sys,
+            fleet,
             config,
             tables: states,
+            host_cost,
             kernels,
-            table_ids,
-            stream_groups,
-            gather_meta,
+            launch_groups,
+            rank_io,
             scratch: BatchScratch {
                 streams,
+                host_refs: std::array::from_fn(|_| vec![Vec::new(); n_tables]),
+                requests: vec![Vec::new(); n_ranks],
+                gather_bufs: vec![Vec::new(); n_ranks],
+                launches,
                 ..BatchScratch::default()
             },
             serve_scratch: crate::serve::ServeScratch::default(),
@@ -841,18 +1096,6 @@ impl UpdlrmEngine {
             .as_ref()
             .map(|c| c.cache_rows_per_part.iter().copied().max().unwrap_or(0) as usize)
             .unwrap_or(0);
-        let capacity = |e: upmem_sim::SimError| match e {
-            upmem_sim::SimError::MramOutOfBounds {
-                addr,
-                len,
-                capacity,
-            } => CoreError::CapacityExceeded {
-                partition: 0,
-                required: addr as usize + len,
-                available: capacity,
-            },
-            other => CoreError::Sim(other),
-        };
         let regions = compute_regions(&RegionSpec {
             replan: config.replan.enabled(),
             emt_rows_max,
@@ -864,13 +1107,16 @@ impl UpdlrmEngine {
             input_reserve_bytes: config.input_reserve_bytes,
             output_bytes: config.batch_size * row_bytes * 2,
         })
-        .map_err(capacity)?;
+        .map_err(capacity_error)?;
         Ok(TableState {
             tiling,
             assignment,
             cache,
             replicas,
-            dpu_base,
+            locs: (0..tiling.group_dpus())
+                .map(|i| (0, DpuId((dpu_base + i) as u32)))
+                .collect(),
+            host_store: Vec::new(),
             emt_bases: regions.emt_bases,
             cache_bases: regions.cache_bases,
             emt_region_rows: regions.emt_region_rows,
@@ -880,10 +1126,98 @@ impl UpdlrmEngine {
         })
     }
 
+    /// Lowers table `t`'s plan placement: the plan's row maps become the
+    /// [`RowAssignment`] (host-tier rows keep the
+    /// [`partition::HOST_ROW_PART`] sentinel and their host slot), each
+    /// partition one full-width DPU, host rows copied into the store.
+    fn plan_table(
+        config: &UpdlrmConfig,
+        t: usize,
+        table: &EmbeddingTable,
+        tp: &TablePlacement,
+        topology: RankTopology,
+    ) -> Result<TableState> {
+        if table.rows() != tp.rows || table.dim() != tp.dim {
+            return Err(CoreError::InvalidConfig(format!(
+                "table {t}: plan places {} x {}, engine got {} x {}",
+                tp.rows,
+                tp.dim,
+                table.rows(),
+                table.dim()
+            )));
+        }
+        let row_bytes = tp.dim * 4;
+        if !row_bytes.is_multiple_of(8) {
+            return Err(CoreError::InvalidConfig(format!(
+                "table {t}: dim {} rows are not 8-byte aligned (need an even dim)",
+                tp.dim
+            )));
+        }
+        if row_bytes > upmem_sim::arch::DMA_MAX_TRANSFER {
+            return Err(CoreError::InvalidConfig(format!(
+                "table {t}: {row_bytes}-byte rows exceed one {}-byte DMA (plan partitions \
+                 store full rows)",
+                upmem_sim::arch::DMA_MAX_TRANSFER
+            )));
+        }
+        let assignment = RowAssignment {
+            part_of_row: tp.part_of_row.clone(),
+            slot_of_row: tp.slot_of_row.clone(),
+            rows_per_part: tp.rows_per_part.clone(),
+            part_load: tp.part_load.clone(),
+        };
+        let replicas = replan::replica_block(&assignment);
+        let emt_rows_max =
+            replicas.len() + tp.rows_per_part.iter().copied().max().unwrap_or(0) as usize;
+        let regions = compute_regions(&RegionSpec {
+            replan: false,
+            emt_rows_max,
+            emt_cap_rows: emt_rows_max,
+            emt_row_bytes: config.embed_dtype.stored_row_bytes(tp.dim),
+            cache_rows_max: 0,
+            cache_cap_rows: 0,
+            row_bytes,
+            input_reserve_bytes: config.input_reserve_bytes,
+            output_bytes: config.batch_size * row_bytes * 2,
+        })
+        .map_err(capacity_error)?;
+        let mut host_store = Vec::with_capacity(tp.host_rows.len() * tp.dim);
+        for &r in &tp.host_rows {
+            host_store.extend_from_slice(table.row(r)?);
+        }
+        Ok(TableState {
+            tiling: Tiling {
+                n_c: tp.dim,
+                col_slices: 1,
+                row_parts: tp.parts,
+                n_r: tp.rows.div_ceil(tp.parts.max(1)),
+                est_cost_ns: 0.0,
+            },
+            assignment,
+            cache: None,
+            replicas,
+            locs: tp
+                .dpus
+                .iter()
+                .map(|&global| {
+                    let (rank, local) = topology.locate(global);
+                    (rank, DpuId(local as u32))
+                })
+                .collect(),
+            host_store,
+            emt_bases: regions.emt_bases,
+            cache_bases: regions.cache_bases,
+            emt_region_rows: regions.emt_region_rows,
+            cache_region_rows: regions.cache_region_rows,
+            slots: regions.slots,
+            dim: tp.dim,
+        })
+    }
+
     /// Loads the EMT tiles and cache regions into MRAM (untimed
     /// pre-processing, as in the paper).
     fn load_table(
-        sys: &mut PimSystem,
+        fleet: &mut Fleet,
         table: &EmbeddingTable,
         state: &TableState,
         dtype: EmbedDtype,
@@ -903,7 +1237,8 @@ impl UpdlrmEngine {
 
         for p in 0..parts {
             for c in 0..tiling.col_slices {
-                let dpu = state.dpu(p, c);
+                let (rank, dpu) = state.dpu(p, c);
+                let sys = fleet.rank_mut(rank)?;
                 // EMT tile: the shared replica block (slots 0..rc), then
                 // this partition's rows, columns [c*n_c, ...), stored at
                 // the configured dtype (each int8 row quantized
@@ -1000,7 +1335,7 @@ impl UpdlrmEngine {
     /// Malformed batches, out-of-range indices, reference streams
     /// exceeding the input reserve, and simulator faults.
     pub fn run_batch(&mut self, batch: &QueryBatch) -> Result<(Vec<Matrix>, EmbeddingBreakdown)> {
-        let routed = self.route_batch(batch)?;
+        let routed = self.route_batch(batch, 0)?;
         let mut breakdown = routed.breakdown_seed();
         let scatter = self.scatter_streams(0)?;
         breakdown.stage1_ns = scatter.wall_ns;
@@ -1015,12 +1350,12 @@ impl UpdlrmEngine {
         Ok((pooled, breakdown))
     }
 
-    /// Stage-1 host preprocessing: validates the batch and builds the
+    /// Stage-1 host preprocessing: validates the batch, builds the
     /// per-partition reference streams (padded when `pad_transfers`)
-    /// into the engine's [`BatchScratch`], without touching the PIM
-    /// array. The routed streams can be scattered into either staging
-    /// slot; only the returned counters are batch-specific.
-    pub(crate) fn route_batch(&mut self, batch: &QueryBatch) -> Result<RoutedBatch> {
+    /// into the engine's [`BatchScratch`], and records host-tier hits
+    /// for staging slot `slot`, without touching the PIM array. Only
+    /// the returned counters are batch-specific.
+    pub(crate) fn route_batch(&mut self, batch: &QueryBatch, slot: usize) -> Result<RoutedBatch> {
         batch.validate()?;
         if batch.sparse.len() != self.tables.len() {
             return Err(CoreError::InvalidConfig(format!(
@@ -1061,14 +1396,25 @@ impl UpdlrmEngine {
             emt_lookups: 0,
         };
         let mut route_refs = 0usize;
+        let mut host_hits = 0u64;
         let UpdlrmEngine {
             tables,
             config,
+            host_cost,
             scratch,
             metrics,
             drift,
             ..
         } = self;
+        let BatchScratch {
+            refs,
+            streams,
+            builder,
+            lookup,
+            hit,
+            host_refs,
+            ..
+        } = scratch;
         let mut k = 0usize; // stream slot index, table-major then part
         for (t, state) in tables.iter().enumerate() {
             let sparse = &batch.sparse[t];
@@ -1076,14 +1422,15 @@ impl UpdlrmEngine {
             // The refs arena only ever grows: indexed `p * b + s` for
             // this table, each inner Vec keeps its capacity.
             let need = parts * b;
-            if scratch.refs.len() < need {
-                scratch.refs.resize_with(need, Vec::new);
+            if refs.len() < need {
+                refs.resize_with(need, Vec::new);
             }
-            let refs = &mut scratch.refs[..need];
+            let refs = &mut refs[..need];
             for v in refs.iter_mut() {
                 v.clear();
             }
-            #[allow(clippy::needless_range_loop)] // s indexes two structures
+            let host = &mut host_refs[slot][t];
+            host.clear();
             for s in 0..b {
                 let sample = sparse.sample(s);
                 route_refs += sample.len();
@@ -1096,63 +1443,63 @@ impl UpdlrmEngine {
                         w.record(idx);
                     }
                 }
-                match &state.cache {
+                // Cached combinations first; the residual rows (or the
+                // whole sample without a cache) take the EMT path.
+                let emt_path: &[u64] = match &state.cache {
                     Some(cs) => {
-                        cs.store
-                            .lookup_into(sample, &mut scratch.lookup, &mut scratch.hit);
-                        metrics.record_cache_lookup(sample.len(), &scratch.hit);
-                        routed.cache_hits += scratch.hit.entries.len() as u64;
-                        routed.emt_lookups += scratch.hit.residual.len() as u64;
-                        for &e in &scratch.hit.entries {
+                        cs.store.lookup_into(sample, lookup, hit);
+                        metrics.record_cache_lookup(sample.len(), hit);
+                        routed.cache_hits += hit.entries.len() as u64;
+                        for &e in &hit.entries {
                             let p = cs.entry_part[e] as usize;
                             refs[p * b + s].push(CACHE_REF_BIT | cs.entry_slot[e]);
                         }
-                        for &idx in &scratch.hit.residual {
-                            let (p, slot) = Self::route_row(state, idx, s)?;
-                            refs[p * b + s].push(slot);
-                        }
+                        &hit.residual
                     }
-                    None => {
-                        routed.emt_lookups += sample.len() as u64;
-                        for &idx in sample {
-                            let (p, slot) = Self::route_row(state, idx, s)?;
-                            refs[p * b + s].push(slot);
+                    None => sample,
+                };
+                for &idx in emt_path {
+                    match Self::route_row(state, idx, s)? {
+                        RefTarget::Part(p, row_slot) => {
+                            routed.emt_lookups += 1;
+                            refs[p * b + s].push(row_slot);
+                        }
+                        RefTarget::Host(host_slot) => {
+                            host_hits += 1;
+                            host.push((s as u32, host_slot));
                         }
                     }
                 }
             }
             for p in 0..parts {
-                let slot = &mut scratch.streams[k];
-                debug_assert_eq!((slot.table, slot.part), (t, p));
+                let stream = &mut streams[k];
+                debug_assert_eq!((stream.table, stream.part), (t, p));
                 build_stream_into(
                     &refs[p * b..(p + 1) * b],
                     tasklets,
                     config.dedup,
-                    &mut scratch.builder,
-                    &mut slot.bytes,
+                    builder,
+                    &mut stream.bytes,
                 );
-                if slot.bytes.len() > config.input_reserve_bytes {
+                if stream.bytes.len() > config.input_reserve_bytes {
                     return Err(CoreError::CapacityExceeded {
                         partition: p,
-                        required: slot.bytes.len(),
+                        required: stream.bytes.len(),
                         available: config.input_reserve_bytes,
                     });
                 }
                 k += 1;
             }
         }
-        routed.route_ns = route_refs as f64 * config.route_ns_per_ref;
+        routed.cache_hits += host_hits;
+        routed.route_ns =
+            route_refs as f64 * config.route_ns_per_ref + host_hits as f64 * host_cost.probe_ns;
         if let Some(d) = drift.as_mut() {
             d.batches_in_window += 1;
         }
         if config.pad_transfers {
-            let max_len = scratch
-                .streams
-                .iter()
-                .map(|s| s.bytes.len())
-                .max()
-                .unwrap_or(0);
-            for s in &mut scratch.streams {
+            let max_len = streams.iter().map(|s| s.bytes.len()).max().unwrap_or(0);
+            for s in streams.iter_mut() {
                 s.bytes.resize(max_len, 0);
             }
         }
@@ -1161,68 +1508,81 @@ impl UpdlrmEngine {
 
     /// Stage 1: scatters the routed reference streams (left in
     /// [`BatchScratch`] by [`UpdlrmEngine::route_batch`]) into staging
-    /// slot `slot` (each row partition's stream is broadcast to all of
-    /// its column slices in a single bus pass). Allocation-free: the
-    /// broadcast groups were precomputed at construction.
-    pub(crate) fn scatter_streams(&mut self, slot: usize) -> Result<upmem_sim::TransferReport> {
+    /// slot `slot`, rank by rank (each row partition's stream is
+    /// broadcast to all of its column slices in a single bus pass), and
+    /// combines the per-rank reports. Allocation-free: the broadcast
+    /// groups were precomputed at construction.
+    pub(crate) fn scatter_streams(&mut self, slot: usize) -> Result<TransferReport> {
         let UpdlrmEngine {
-            sys,
+            fleet,
             tables,
-            stream_groups,
+            rank_io,
             scratch,
             metrics,
             ..
         } = self;
-        let report =
-            sys.scatter_broadcast_with(scratch.streams.iter().zip(stream_groups.iter()).map(
-                |(s, ids)| {
+        scratch.transfers.clear();
+        for io in rank_io.iter() {
+            let streams = &scratch.streams;
+            let report = fleet
+                .rank_mut(io.rank)?
+                .scatter_broadcast_with(io.streams.iter().map(|(k, ids)| {
+                    let s = &streams[*k];
                     (
                         ids.as_slice(),
                         tables[s.table].input_base(slot),
                         s.bytes.as_slice(),
                     )
-                },
-            ))?;
+                }))?;
+            scratch.transfers.push(report);
+        }
+        let report = fleet.combine_transfers(scratch.transfers.iter());
         metrics.record_transfer(true, &report);
         Ok(report)
     }
 
     /// Stage 2: launches the embedding kernels reading slot `slot`'s
-    /// reference streams and writing its partial-sum region (all table
-    /// groups run concurrently; the wall is the slowest group).
+    /// reference streams and writing its partial-sum region, one launch
+    /// per `(table, rank)` group. All groups run concurrently; the wall
+    /// is the slowest group plus the fleet's per-launch dispatch.
     ///
     /// The kernels are the prebuilt per-(table, slot) instances: only
-    /// `n_samples` changes per batch, and the launch report plus cycle
+    /// `n_samples` changes per batch, and the launch reports plus cycle
     /// list are recycled through [`BatchScratch`].
     pub(crate) fn launch_stage2(&mut self, n_samples: usize, slot: usize) -> Result<Stage2Report> {
         let UpdlrmEngine {
-            sys,
+            fleet,
             kernels,
-            table_ids,
+            launch_groups,
             scratch,
             metrics,
             ..
         } = self;
+        let dpus_per_rank = fleet.topology().dpus_per_rank;
         let mut out = Stage2Report::default();
         scratch.all_cycles.clear();
-        for (kset, ids) in kernels.iter_mut().zip(table_ids.iter()) {
+        let mut g = 0usize;
+        for (kset, groups) in kernels.iter_mut().zip(launch_groups.iter()) {
             let kernel = &mut kset[slot];
             for task in kernel.tasks.values_mut() {
                 task.n_samples = n_samples as u32;
             }
-            sys.launch_into(ids, &*kernel, &mut scratch.launch)?;
-            let report = &scratch.launch;
-            out.wall_ns = out.wall_ns.max(report.wall_ns);
-            out.energy_pj += report.energy_pj;
-            out.dma_transfers += report.total_dma_transfers();
-            out.instrs += report.total_instrs();
-            for (id, stats) in &report.per_dpu {
-                metrics.record_dpu(id.0 as usize, stats);
+            for (rank, ids) in groups {
+                let report = &mut scratch.launches[g];
+                fleet.rank_mut(*rank)?.launch_into(ids, &*kernel, report)?;
+                out.energy_pj += report.energy_pj;
+                out.dma_transfers += report.total_dma_transfers();
+                out.instrs += report.total_instrs();
+                for (id, stats) in &report.per_dpu {
+                    metrics.record_dpu(rank * dpus_per_rank + id.0 as usize, stats);
+                }
+                scratch
+                    .all_cycles
+                    .extend(report.per_dpu.iter().map(|(_, s)| s.cycles.0));
+                g += 1;
             }
-            scratch
-                .all_cycles
-                .extend(report.per_dpu.iter().map(|(_, s)| s.cycles.0));
         }
+        out.wall_ns = fleet.combine_launches(scratch.launches[..g].iter()).0;
         let all_cycles = &scratch.all_cycles;
         if !all_cycles.is_empty() {
             let max = *all_cycles.iter().max().expect("nonempty") as f64;
@@ -1234,38 +1594,40 @@ impl UpdlrmEngine {
     }
 
     /// Stage 3 + host combine: gathers slot `slot`'s partial-sum rows
-    /// and assembles the pooled `batch x dim` matrices. Returns the
-    /// pooled embeddings, the modeled host combine time, and the bus
-    /// transfer report.
+    /// rank by rank and assembles the pooled `batch x dim` matrices —
+    /// host-tier rows first, then the PIM partials in rank order.
+    /// Returns the pooled embeddings, the modeled host combine time,
+    /// and the combined bus transfer report.
     pub(crate) fn gather_combine(
         &mut self,
         n_samples: usize,
         slot: usize,
-    ) -> Result<(Vec<Matrix>, f64, upmem_sim::TransferReport)> {
+    ) -> Result<(Vec<Matrix>, f64, TransferReport)> {
         let b = n_samples;
         let UpdlrmEngine {
-            sys,
+            fleet,
             tables,
-            gather_meta,
+            host_cost,
+            rank_io,
             scratch,
             config,
             metrics,
             ..
         } = self;
-        scratch.requests.clear();
-        for state in tables.iter() {
-            let row_bytes = state.tiling.row_bytes();
-            for p in 0..state.tiling.row_parts {
-                for c in 0..state.tiling.col_slices {
-                    scratch.requests.push((
-                        state.dpu(p, c),
-                        state.output_base(slot),
-                        b * row_bytes,
-                    ));
-                }
+        scratch.transfers.clear();
+        for (ri, io) in rank_io.iter().enumerate() {
+            let requests = &mut scratch.requests[ri];
+            requests.clear();
+            for &(dpu, t, _) in &io.gathers {
+                let state = &tables[t];
+                requests.push((dpu, state.output_base(slot), b * state.tiling.row_bytes()));
             }
+            let report = fleet
+                .rank(io.rank)?
+                .gather_into(requests, &mut scratch.gather_bufs[ri])?;
+            scratch.transfers.push(report);
         }
-        let gather_report = sys.gather_into(&scratch.requests, &mut scratch.gather_buf)?;
+        let gather_report = fleet.combine_transfers(scratch.transfers.iter());
         metrics.record_transfer(false, &gather_report);
 
         // Pooled outputs come from the recycle pool when a returned set
@@ -1282,22 +1644,41 @@ impl UpdlrmEngine {
             }
             _ => tables.iter().map(|s| Matrix::zeros(b, s.dim)).collect(),
         };
-        let mut combine_adds = 0u64;
-        let mut off = 0usize;
-        for (&(_, _, len), &(t, c)) in scratch.requests.iter().zip(gather_meta.iter()) {
-            let buf = &scratch.gather_buf[off..off + len];
-            off += len;
-            let state = &tables[t];
-            let n_c = state.tiling.n_c;
-            let row_bytes = state.tiling.row_bytes();
-            for s in 0..b {
-                let row = &buf[s * row_bytes..(s + 1) * row_bytes];
-                let out = pooled[t].row_mut(s);
-                simd::add_assign_le(&mut out[c * n_c..(c + 1) * n_c], row);
-                combine_adds += n_c as u64;
+
+        // Host tier: add hot rows straight from the host store.
+        let mut host_adds = 0u64;
+        for (t, state) in tables.iter().enumerate() {
+            let dim = state.dim;
+            for &(s, host_slot) in &scratch.host_refs[slot][t] {
+                let h = host_slot as usize;
+                simd::add_assign(
+                    pooled[t].row_mut(s as usize),
+                    &state.host_store[h * dim..(h + 1) * dim],
+                );
+                host_adds += dim as u64;
             }
         }
-        let combine_ns = combine_adds as f64 * config.combine_ns_per_add;
+
+        // PIM partials, rank-major then (table, partition, slice) order.
+        let mut pim_adds = 0u64;
+        for (ri, io) in rank_io.iter().enumerate() {
+            let buf = &scratch.gather_bufs[ri];
+            let mut off = 0usize;
+            for &(_, t, c) in &io.gathers {
+                let state = &tables[t];
+                let n_c = state.tiling.n_c;
+                let row_bytes = state.tiling.row_bytes();
+                for s in 0..b {
+                    let row = &buf[off + s * row_bytes..off + (s + 1) * row_bytes];
+                    let out = pooled[t].row_mut(s);
+                    simd::add_assign_le(&mut out[c * n_c..(c + 1) * n_c], row);
+                    pim_adds += n_c as u64;
+                }
+                off += b * row_bytes;
+            }
+        }
+        let combine_ns = pim_adds as f64 * config.combine_ns_per_add
+            + host_adds as f64 * host_cost.combine_ns_per_add;
         Ok((pooled, combine_ns, gather_report))
     }
 
@@ -1311,7 +1692,7 @@ impl UpdlrmEngine {
         }
     }
 
-    fn route_row(state: &TableState, idx: u64, sample: usize) -> Result<(usize, u32)> {
+    fn route_row(state: &TableState, idx: u64, sample: usize) -> Result<RefTarget> {
         let r = idx as usize;
         if r >= state.assignment.part_of_row.len() {
             return Err(CoreError::Model(dlrm_model::ModelError::IndexOutOfRange {
@@ -1326,13 +1707,15 @@ impl UpdlrmEngine {
                 "row {idx} is cache-resident but was routed to the EMT path"
             )));
         }
-        if p == partition::REPLICATED_ROW_PART {
+        Ok(match p {
             // Replicated rows live in every partition at the same slot;
             // spread their traffic round-robin by (row, sample).
-            let parts = state.tiling.row_parts;
-            return Ok(((r + sample) % parts, slot));
-        }
-        Ok((p as usize, slot))
+            partition::REPLICATED_ROW_PART => {
+                RefTarget::Part((r + sample) % state.tiling.row_parts, slot)
+            }
+            partition::HOST_ROW_PART => RefTarget::Host(slot),
+            p => RefTarget::Part(p as usize, slot),
+        })
     }
 
     /// Advances the replanner to modeled instant `now_ns`: completes a
@@ -1500,7 +1883,7 @@ impl UpdlrmEngine {
         let mut max_dpu = Cycles(0);
         {
             let UpdlrmEngine {
-                sys,
+                fleet,
                 tables,
                 host_tables,
                 config,
@@ -1522,7 +1905,8 @@ impl UpdlrmEngine {
                 });
                 for p in 0..tiling.row_parts {
                     for c in 0..tiling.col_slices {
-                        let dpu = state.dpu(p, c);
+                        let (rank, dpu) = state.dpu(p, c);
+                        let sys = fleet.rank_mut(rank)?;
                         let n = rc + local[p].len();
                         let mut buf = Vec::with_capacity(n * emt_row_bytes);
                         build_emt_tile(table, dtype, n_c, c, &flip.replicas, &local[p], &mut buf)?;

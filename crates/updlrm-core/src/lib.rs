@@ -14,7 +14,9 @@
 //!   ([`partition::cache_aware`]);
 //! * the **DPU embedding kernel** ([`kernel`]) and the three-stage
 //!   host pipeline of Fig. 4 ([`engine`]), reporting the per-stage
-//!   latency breakdown of Fig. 10.
+//!   latency breakdown of Fig. 10. The same engine also executes a
+//!   tiered multi-rank [`placement::PlacementPlan`]
+//!   ([`UpdlrmEngine::from_plan`]).
 //!
 //! See the crate-level example in [`engine::UpdlrmEngine`].
 
@@ -31,11 +33,10 @@ pub mod replan;
 pub mod serve;
 pub mod stats;
 pub mod telemetry;
-pub mod tiered;
 pub mod tiling;
 
 pub use config::UpdlrmConfig;
-pub use engine::{EmbeddingBreakdown, UpdlrmEngine};
+pub use engine::{EmbeddingBreakdown, TieredEngine, UpdlrmEngine};
 pub use error::{CoreError, Result};
 pub use kernel::{build_stream, DpuTask, EmbeddingKernel, CACHE_REF_BIT};
 pub use partition::{
@@ -50,5 +51,4 @@ pub use telemetry::{
     DriftSnapshot, MetricsRegistry, RuntimeSnapshot, SchedSnapshot, SchedTrigger, Snapshot,
     TenantSnapshot, SNAPSHOT_SCHEMA_VERSION,
 };
-pub use tiered::TieredEngine;
 pub use tiling::{Tiling, TilingProblem, CANDIDATE_NC, MAX_TILE_ELEMENTS};

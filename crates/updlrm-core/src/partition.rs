@@ -52,6 +52,10 @@ pub const CACHED_ROW_SLOT: u32 = u32::MAX;
 /// the replica-block slot shared by all partitions.
 pub const REPLICATED_ROW_PART: u32 = u32::MAX;
 
+/// Sentinel partition for rows served from the host-DRAM tier of a
+/// plan-built engine; their `slot_of_row` indexes the host store.
+pub const HOST_ROW_PART: u32 = u32::MAX - 1;
+
 /// Assignment of every table row to a row partition.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RowAssignment {

@@ -183,8 +183,9 @@ pub(crate) fn replica_block(assignment: &RowAssignment) -> Vec<u32> {
 
 /// Inverts an assignment into per-partition local-slot order: element
 /// `[p][s]` is the row stored at slot `rc + s` of partition `p`'s EMT
-/// tile (`rc` = replica-block length). Cached and replicated rows are
-/// excluded — they live in the cache region / the shared block.
+/// tile (`rc` = replica-block length). Cached, replicated and host-tier
+/// rows are excluded — they live in the cache region, the shared block
+/// or host DRAM.
 pub(crate) fn rows_in_parts(assignment: &RowAssignment, rc: usize) -> Vec<Vec<u32>> {
     let mut rows_in_part: Vec<Vec<u32>> = assignment
         .rows_per_part
@@ -197,7 +198,7 @@ pub(crate) fn rows_in_parts(assignment: &RowAssignment, rc: usize) -> Vec<Vec<u3
         .zip(assignment.slot_of_row.iter())
         .enumerate()
     {
-        if p != partition::REPLICATED_ROW_PART && s != partition::CACHED_ROW_SLOT {
+        if p < partition::HOST_ROW_PART && s != partition::CACHED_ROW_SLOT {
             rows_in_part[p as usize][s as usize - rc] = r as u32;
         }
     }

@@ -26,12 +26,11 @@ use dlrm_model::{Matrix, QueryBatch};
 
 /// A batch-serving engine the open-loop front-ends can drive.
 ///
-/// Both the single-rank [`UpdlrmEngine`] and the multi-rank
-/// [`TieredEngine`](crate::tiered::TieredEngine) implement this, so the
-/// scheduler's event loop (and any other front-end) is generic over the
-/// back-end that executes its formed batches. The contract mirrors
-/// `serve_stream`: the sink fires once per batch in batch order,
-/// lending the pooled embeddings.
+/// [`UpdlrmEngine`] implements this; the scheduler's event loop (and
+/// any other front-end) is generic over it so a wrapper — a tracing
+/// shim, say — can stand between the loop and the engine. The contract
+/// mirrors `serve_stream`: the sink fires once per batch in batch
+/// order, lending the pooled embeddings.
 pub trait BatchServer {
     /// Largest batch the engine's staged MRAM output regions can hold
     /// (sized at construction; `route_batch` rejects anything larger).
@@ -181,10 +180,8 @@ pub(crate) struct ServeScratch {
 }
 
 /// Assembles the aggregate [`ServeReport`] from a finished schedule's
-/// scratch (sorts the latency list in place). Shared by the
-/// single-rank serve schedules here and the tiered engine's sequential
-/// schedule ([`crate::tiered`]).
-pub(crate) fn finish_report(
+/// scratch (sorts the latency list in place).
+fn finish_report(
     mode: PipelineMode,
     queue_depth: usize,
     batches: &[QueryBatch],
@@ -313,23 +310,10 @@ impl UpdlrmEngine {
         scr.latencies.clear();
         let mut wall = 0.0f64;
         for (i, batch) in batches.iter().enumerate() {
-            // Same stage sequence (and f64 operation order) as
-            // `run_batch`, with the pooled set recycled after the sink.
-            let routed = self.route_batch(batch)?;
-            let mut bd = routed.breakdown_seed();
-            let scatter = self.scatter_streams(0)?;
-            bd.stage1_ns = scatter.wall_ns;
-            bd.energy_pj += scatter.energy_pj;
-            let stage2 = self.launch_stage2(routed.batch_size, 0)?;
-            stage2.fold_into(&mut bd);
-            let (pooled, combine_ns, gather) = self.gather_combine(routed.batch_size, 0)?;
-            bd.stage3_ns = gather.wall_ns;
-            bd.energy_pj += gather.energy_pj;
-            bd.combine_ns = combine_ns;
+            let (pooled, bd) = self.run_batch(batch)?;
             // Matches `sequential_wall_ns`'s `map(total_ns).sum()` fold.
             wall += bd.total_ns();
             scr.latencies.push(bd.total_ns());
-            self.metrics.record_batch(routed.batch_size, &bd);
             scr.breakdowns.push(bd);
             sink(i, &pooled, scr.breakdowns.last().expect("just pushed"));
             self.recycle_pooled(pooled);
@@ -373,7 +357,7 @@ impl UpdlrmEngine {
         // released when its stage 3 drained one iteration ago.
         for i in 0..n {
             // stage 1 of batch i.
-            let routed = self.route_batch(&batches[i])?;
+            let routed = self.route_batch(&batches[i], i % STAGING_SLOTS)?;
             let mut bd = routed.breakdown_seed();
             let scatter = self.scatter_streams(i % STAGING_SLOTS)?;
             bd.stage1_ns = scatter.wall_ns;

@@ -12,8 +12,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dlrm_model::EmbeddingTable;
+use placement::{plan, Catalog, PlannerConfig};
 use updlrm_core::{PartitionStrategy, PipelineMode, UpdlrmConfig, UpdlrmEngine};
-use workloads::{DatasetSpec, TraceConfig, Workload};
+use upmem_sim::RankTopology;
+use workloads::{DatasetSpec, FreqProfile, TraceConfig, Workload};
 
 /// Counts every alloc/realloc (frees are not counted: a steady-state
 /// path that frees without allocating is impossible anyway, and
@@ -46,9 +48,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn setup(strategy: PartitionStrategy, telemetry: bool) -> (UpdlrmEngine, Workload) {
+/// Which constructor builds the engine under test.
+#[derive(Debug, Clone, Copy)]
+enum Build {
+    Strategy(PartitionStrategy),
+    /// `from_plan` over a two-rank plan with host, replicated and cold
+    /// tiers.
+    Plan,
+}
+
+fn setup(build: Build, telemetry: bool) -> (UpdlrmEngine, Workload) {
     let spec = DatasetSpec::goodreads().scaled_down(5000);
     let num_tables = 2;
+    let dim = 32;
     let workload = Workload::generate(
         &spec,
         TraceConfig {
@@ -58,8 +70,12 @@ fn setup(strategy: PartitionStrategy, telemetry: bool) -> (UpdlrmEngine, Workloa
         },
     );
     let tables: Vec<EmbeddingTable> = (0..num_tables)
-        .map(|t| EmbeddingTable::random_integer_valued(spec.num_items, 32, 3, t as u64).unwrap())
+        .map(|t| EmbeddingTable::random_integer_valued(spec.num_items, dim, 3, t as u64).unwrap())
         .collect();
+    let strategy = match build {
+        Build::Strategy(strategy) => strategy,
+        Build::Plan => PartitionStrategy::CacheAware, // ignored by from_plan
+    };
     let mut config = UpdlrmConfig::with_dpus(16, strategy)
         .with_pipeline_mode(PipelineMode::DoubleBuf)
         .with_queue_depth(2)
@@ -68,7 +84,27 @@ fn setup(strategy: PartitionStrategy, telemetry: bool) -> (UpdlrmEngine, Workloa
         .with_host_threads(1);
     config.telemetry = telemetry;
     config.batch_size = workload.config.batch_size;
-    let engine = UpdlrmEngine::from_workload(config, &tables, &workload).unwrap();
+    let engine = match build {
+        Build::Strategy(_) => UpdlrmEngine::from_workload(config, &tables, &workload).unwrap(),
+        Build::Plan => {
+            let profiles: Vec<FreqProfile> = (0..num_tables)
+                .map(|t| FreqProfile::from_inputs(spec.num_items, workload.table_inputs(t)))
+                .collect();
+            let planner = PlannerConfig {
+                topology: RankTopology {
+                    nr_ranks: 2,
+                    dpus_per_rank: 8,
+                },
+                emt_capacity_bytes: (spec.num_items / 4 + 64) * dim * 4,
+                host_cache_bytes: num_tables * 48 * dim * 4,
+                replicate_top: 16,
+                ..PlannerConfig::default()
+            };
+            let catalog = Catalog::homogeneous(num_tables, spec.num_items, dim);
+            let p = plan(&catalog, &profiles, &planner).unwrap();
+            UpdlrmEngine::from_plan(config, &p, &tables).unwrap()
+        }
+    };
     (engine, workload)
 }
 
@@ -79,13 +115,17 @@ fn steady_state_serve_stream_is_allocation_free() {
     // hold the same invariant: its counter arenas (per-DPU cells, span
     // accumulators, cache traffic) are preallocated at construction, so
     // recording adds zero heap operations to the hot path.
-    for (strategy, telemetry) in [
-        (PartitionStrategy::Uniform, false),
-        (PartitionStrategy::CacheAware, false),
-        (PartitionStrategy::Uniform, true),
-        (PartitionStrategy::CacheAware, true),
+    // A plan-built engine runs the same path across ranks, with
+    // host-tier hits staged per slot.
+    for (build, telemetry) in [
+        (Build::Strategy(PartitionStrategy::Uniform), false),
+        (Build::Strategy(PartitionStrategy::CacheAware), false),
+        (Build::Plan, false),
+        (Build::Strategy(PartitionStrategy::Uniform), true),
+        (Build::Strategy(PartitionStrategy::CacheAware), true),
+        (Build::Plan, true),
     ] {
-        let (mut engine, workload) = setup(strategy, telemetry);
+        let (mut engine, workload) = setup(build, telemetry);
 
         // Warm-up: two serves populate every arena (both MRAM staging
         // slots' kernels, stream buffers at their high-water marks, the
@@ -107,7 +147,7 @@ fn steady_state_serve_stream_is_allocation_free() {
         assert_eq!(
             after - before,
             0,
-            "steady-state serve_stream allocated under {strategy} (telemetry {telemetry}) \
+            "steady-state serve_stream allocated under {build:?} (telemetry {telemetry}) \
              ({} heap ops for {} batches)",
             after - before,
             report.batches

@@ -1,7 +1,8 @@
-//! Tiered-vs-untiered differential suite (the tentpole proof): under
-//! *any* valid placement plan, the pooled embeddings computed by the
-//! multi-rank [`TieredEngine`] are bit-identical to the untiered
-//! single-rank [`UpdlrmEngine`] on the same trace.
+//! Tiered-vs-untiered differential suite: under *any* valid placement
+//! plan, the pooled embeddings of an engine lowered from the plan
+//! ([`TieredEngine::new`], i.e. [`UpdlrmEngine::from_plan`]) on its
+//! multi-rank fleet are bit-identical to a strategy-built single-rank
+//! [`UpdlrmEngine`] on the same trace.
 //!
 //! Tables are integer-valued with small magnitude, so every partial sum
 //! is exact in f32 and addition grouping cannot perturb bits — any
@@ -13,7 +14,10 @@ use dlrm_model::{EmbeddingTable, Matrix};
 use placement::{plan, Catalog, PlacementPlan, PlannerConfig};
 use proptest::prelude::*;
 use proptest::TestRunner;
-use updlrm_core::{PartitionStrategy, TieredEngine, UpdlrmConfig, UpdlrmEngine};
+use updlrm_core::{
+    pipelined_wall_ns, CoreError, EmbeddingBreakdown, PartitionStrategy, PipelineMode,
+    ReplanPolicy, TieredEngine, UpdlrmConfig, UpdlrmEngine,
+};
 use upmem_sim::RankTopology;
 use workloads::{DatasetSpec, FreqProfile, TraceConfig, Workload};
 
@@ -381,4 +385,80 @@ fn prop_any_valid_plan_is_bit_identical() {
             Ok(())
         },
     );
+}
+
+/// Double-buffering runs on plan-built engines too: pooled embeddings
+/// bit-match the sequential schedule (host-tier rows are staged per
+/// slot, so batch `i + 1`'s routing cannot leak into batch `i`'s
+/// combine), the executed wall equals `pipelined_wall_ns` of the
+/// breakdowns, and it never exceeds the sequential wall.
+#[test]
+fn plan_engine_doublebuf_matches_sequential() {
+    let fix = fixture();
+    let p = plan_with(
+        RankTopology {
+            nr_ranks: 3,
+            dpus_per_rank: 8,
+        },
+        fix.spec.num_items / 4 + 64,
+        TABLES * 64 * DIM * 4,
+        16,
+    );
+    let serve = |mode: PipelineMode| {
+        let config = UpdlrmConfig::default()
+            .with_pipeline_mode(mode)
+            .with_queue_depth(2);
+        let mut eng = UpdlrmEngine::from_plan(config, &p, &fix.tables).unwrap();
+        let mut pooled: Vec<Vec<Matrix>> = Vec::new();
+        let mut bds: Vec<EmbeddingBreakdown> = Vec::new();
+        let report = eng
+            .serve_stream(&fix.workload.batches, |i, m, bd| {
+                assert_eq!(i, pooled.len(), "sink fires in order");
+                pooled.push(m.to_vec());
+                bds.push(*bd);
+            })
+            .unwrap();
+        (report, pooled, bds)
+    };
+    let (seq, seq_pooled, _) = serve(PipelineMode::Sequential);
+    let (dbl, dbl_pooled, dbl_bds) = serve(PipelineMode::DoubleBuf);
+    assert_eq!(dbl.mode, PipelineMode::DoubleBuf);
+    assert!(
+        dbl_bds.iter().any(|bd| bd.cache_hits > 0),
+        "the plan must exercise the host tier"
+    );
+    assert_eq!(dbl_pooled.len(), seq_pooled.len());
+    for (bi, (a, b)) in dbl_pooled.iter().zip(&seq_pooled).enumerate() {
+        for (t, (ma, mb)) in a.iter().zip(b).enumerate() {
+            assert_bit_identical(ma, mb, &format!("doublebuf batch {bi} table {t}"));
+        }
+    }
+    assert_eq!(dbl.wall_ns.to_bits(), pipelined_wall_ns(&dbl_bds).to_bits());
+    assert!(
+        dbl.wall_ns <= seq.wall_ns,
+        "doublebuf {} > sequential {}",
+        dbl.wall_ns,
+        seq.wall_ns
+    );
+}
+
+/// A replanner would refit rows by `config.strategy` and overwrite the
+/// plan's host and replica tiers, so a plan-built engine refuses it.
+#[test]
+fn plan_engine_rejects_replanning() {
+    let fix = fixture();
+    let p = plan_with(
+        RankTopology {
+            nr_ranks: 2,
+            dpus_per_rank: 8,
+        },
+        fix.spec.num_items / 3 + 64,
+        TABLES * 32 * DIM * 4,
+        16,
+    );
+    let config = UpdlrmConfig::default().with_replan(ReplanPolicy::Periodic { every_batches: 2 });
+    let err =
+        UpdlrmEngine::from_plan(config, &p, &fix.tables).expect_err("replanning a plan must fail");
+    assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+    assert!(err.to_string().contains("replan"), "{err}");
 }

@@ -22,7 +22,9 @@
 //!
 //! The combine rules live in [`Fleet::combine_transfers`] and
 //! [`Fleet::combine_launches`] so callers that drive ranks directly
-//! (the tiered engine) and tests agree on one implementation.
+//! (the embedding engine) and tests agree on one implementation. A
+//! one-rank fleet with a zero [`RankCostModel`] costs exactly what its
+//! single [`PimSystem`] does.
 //! DESIGN.md §4.9 documents the model and its known divergences.
 
 use crate::cost::CostModel;
@@ -147,10 +149,12 @@ impl Fleet {
     /// [`SimError::UnknownDpu`]-style range error for an out-of-range
     /// rank index.
     pub fn rank(&self, r: usize) -> Result<&PimSystem> {
-        self.ranks.get(r).ok_or(SimError::InvalidConfig(format!(
-            "rank {r} out of range ({} ranks)",
-            self.ranks.len()
-        )))
+        self.ranks.get(r).ok_or_else(|| {
+            SimError::InvalidConfig(format!(
+                "rank {r} out of range ({} ranks)",
+                self.ranks.len()
+            ))
+        })
     }
 
     /// Mutably borrow rank `r`.
@@ -160,9 +164,9 @@ impl Fleet {
     /// Same conditions as [`Fleet::rank`].
     pub fn rank_mut(&mut self, r: usize) -> Result<&mut PimSystem> {
         let n = self.ranks.len();
-        self.ranks.get_mut(r).ok_or(SimError::InvalidConfig(format!(
-            "rank {r} out of range ({n} ranks)"
-        )))
+        self.ranks
+            .get_mut(r)
+            .ok_or_else(|| SimError::InvalidConfig(format!("rank {r} out of range ({n} ranks)")))
     }
 
     /// Combines per-rank transfer reports of one fleet-wide phase.

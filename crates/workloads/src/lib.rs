@@ -28,7 +28,6 @@
 
 pub mod arrival;
 pub mod drift;
-pub mod import;
 pub mod io;
 pub mod pack;
 pub mod profile;
@@ -38,7 +37,6 @@ pub mod zipf;
 
 pub use arrival::{ArrivalProcess, ArrivalTrace, NS_PER_SEC};
 pub use drift::{ActiveHotSet, DiurnalCurve, DriftSchedule, FlashCrowd, HotSetRotation};
-pub use import::{import_text_trace, ImportConfig};
 pub use pack::{save_packed, write_packed, PackError, PackedTables};
 pub use profile::FreqProfile;
 pub use spec::{CooccurConfig, DatasetSpec, Hotness};

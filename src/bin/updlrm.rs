@@ -501,7 +501,7 @@ fn cmd_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
 /// The `run --plan FILE` path: rebuild the plan's workload from its
 /// provenance (plus the `--dataset` flag) and serve the trace through
-/// the tiered multi-rank engine.
+/// an engine lowered from the plan.
 fn cmd_run_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let backend_name = args.str("backend", "updlrm");
     if backend_name != "updlrm" {
@@ -509,9 +509,8 @@ fn cmd_run_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         std::process::exit(2)
     }
     if args.flag_set("embed-dtype") || args.flag_set("tables") {
-        // The tiered plan engine stores all tiers as f32 and rebuilds
-        // its tables from the plan's provenance; refusing here beats
-        // silently ignoring the flags.
+        // `run --plan` rebuilds f32 tables from the plan's provenance;
+        // refusing here beats silently ignoring the flags.
         eprintln!("--embed-dtype / --tables do not apply to `run --plan`");
         std::process::exit(2)
     }
@@ -550,7 +549,7 @@ fn cmd_run_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         std::process::exit(2)
     }
     let print_measured = args.flags.contains_key("iters") || args.flags.contains_key("warmup");
-    let mut engine = TieredEngine::new(config.clone(), &plan, model.tables())?;
+    let mut engine = UpdlrmEngine::from_plan(config.clone(), &plan, model.tables())?;
 
     let host: usize = plan.tables.iter().map(|t| t.host_rows.len()).sum();
     let rep: usize = plan.tables.iter().map(|t| t.replicated_rows.len()).sum();

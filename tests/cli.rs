@@ -861,6 +861,39 @@ fn golden_placement_plan_matches_checked_in_file() {
 }
 
 #[test]
+fn golden_plan_engine_snapshot_matches_checked_in_file() {
+    // Serving the committed plan locks the plan-built engine's whole
+    // modeled path (tier routing, per-rank scatter/launch/gather, fleet
+    // combine) through its telemetry snapshot.
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("tiered-golden.json");
+    let golden_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    let out = updlrm()
+        .args(["run", "--plan"])
+        .arg(format!("{golden_dir}/placement_plan.json"))
+        .arg("--metrics")
+        .arg(&path)
+        .output()
+        .expect("run --plan");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let fresh = std::fs::read(&path).expect("plan-engine snapshot");
+    let golden =
+        std::fs::read(format!("{golden_dir}/tiered_snapshot.json")).expect("checked-in golden");
+    assert!(
+        fresh == golden,
+        "plan-engine snapshot diverges from tests/golden/tiered_snapshot.json; if intentional, \
+         regenerate it with `updlrm run --plan tests/golden/placement_plan.json \
+         --metrics tests/golden/tiered_snapshot.json`"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn plan_and_run_reject_foreign_schema_versions() {
     let dir = std::env::temp_dir().join("updlrm-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
