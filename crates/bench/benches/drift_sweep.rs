@@ -34,18 +34,14 @@
 //! The *measured* number tracked across PRs is wall time per offered
 //! request around engine build + `Scheduler::run` (a fresh engine per
 //! iteration, since replanning mutates placement). It lands in
-//! `BENCH_drift.json` at the repo root. Flags (same protocol as
-//! `sched_sweep`):
-//!
-//! * `--smoke` — short timing window, same traces and gates
-//! * `--check FILE` — compare against FILE's rows; exit nonzero on a
-//!   >20% ns/request regression; do not write output
-//! * `--baseline-label S` — label adopted rows when FILE had no baseline
-//! * `--out FILE` — output path (default: repo-root JSON)
+//! `BENCH_drift.json` at the repo root, under the flags, baseline
+//! carry-forward and >20% ns/request gate of [`bench::trajectory`];
+//! `--smoke` shortens only the timing window (same traces and gates).
 
 use std::hint::black_box;
 
 use bench::timing;
+use bench::trajectory::{self, Gate, Trajectory};
 use dlrm_model::EmbeddingTable;
 use scheduler::{OverloadPolicy, SchedConfig, SchedReport, Scheduler};
 use serde::Value;
@@ -217,102 +213,13 @@ fn run_arm(
     (report, eng.metrics_snapshot().drift)
 }
 
-fn num(v: &Value) -> Option<f64> {
-    match v {
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-/// arm -> measured ns/request, hand-parsed so schema drift across PRs
-/// never breaks reading old files.
-fn parse_rows(rows: &Value) -> Vec<(String, f64)> {
-    let Value::Array(rows) = rows else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|r| {
-            let Value::Str(arm) = r.get("arm")? else {
-                return None;
-            };
-            let ns = num(r.get("measured_ns_per_request")?)?;
-            Some((arm.clone(), ns))
-        })
-        .collect()
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut smoke = false;
-    let mut check: Option<String> = None;
-    let mut baseline_label = "previous run".to_string();
-    let default_out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_drift.json")
-        .to_string_lossy()
-        .into_owned();
-    let mut out_path = default_out;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = Some(args.next().expect("--check needs a file")),
-            "--baseline-label" => {
-                baseline_label = args.next().expect("--baseline-label needs a value")
-            }
-            "--out" => out_path = args.next().expect("--out needs a file"),
-            "--bench" => {} // passed by `cargo bench`
-            other => eprintln!("ignoring unknown arg {other}"),
-        }
-    }
+    let mut traj = Trajectory::from_env(
+        "BENCH_drift.json",
+        Gate::lower("measured_ns_per_request", "ns/request"),
+    );
+    let smoke = traj.smoke();
     let sweep = if smoke { SMOKE } else { FULL };
-
-    // Cargo runs bench binaries from the package directory, so resolve
-    // relative paths against the repo root — CI passes plain
-    // `BENCH_drift.json` and means the committed file.
-    let rooted = |p: String| {
-        if std::path::Path::new(&p).is_relative() {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(&p)
-                .to_string_lossy()
-                .into_owned()
-        } else {
-            p
-        }
-    };
-    let check = check.map(rooted);
-    let out_path = rooted(out_path);
-
-    let baseline_src = check.clone().unwrap_or_else(|| out_path.clone());
-    let old: Option<Value> = std::fs::read_to_string(&baseline_src)
-        .ok()
-        .and_then(|s| serde::json::from_str(&s).ok());
-    // In check mode a missing or malformed baseline is a failure, not
-    // a free pass — CI relies on this to keep the committed trajectory
-    // file honest.
-    if check.is_some() {
-        let usable = old
-            .as_ref()
-            .and_then(|v| v.get("rows"))
-            .map(parse_rows)
-            .is_some_and(|rows| !rows.is_empty());
-        if !usable {
-            eprintln!("check: baseline {baseline_src} is missing, malformed, or has no rows");
-            std::process::exit(1);
-        }
-    }
-    let (baseline_rows, baseline_value, label) = match &old {
-        Some(v) => {
-            let rows = v.get("rows").map(parse_rows).unwrap_or_default();
-            if rows.is_empty() {
-                (Vec::new(), None, baseline_label.clone())
-            } else {
-                (rows, v.get("rows").cloned(), baseline_label.clone())
-            }
-        }
-        None => (Vec::new(), None, baseline_label.clone()),
-    };
 
     let spec = DatasetSpec::goodreads().scaled_down(2000);
     let tables: Vec<EmbeddingTable> = (0..NUM_TABLES)
@@ -390,7 +297,6 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    let mut regressions = Vec::new();
     let mut results: Vec<(&str, SchedReport, DriftSnapshot)> = Vec::new();
     for (arm, wl, replan) in arms {
         // Determinism identity before anything is timed: the whole
@@ -412,33 +318,17 @@ fn main() {
             ));
         });
         let measured = m.mean_ns / report.requests as f64;
-        let base = baseline_rows
-            .iter()
-            .find(|(a, _)| a == arm)
-            .map(|(_, ns)| *ns)
-            .unwrap_or(0.0);
-        let speedup = if base > 0.0 { base / measured } else { 0.0 };
+        let cmp = traj.compare(arm, measured, |r| trajectory::text(r, "arm") == Some(arm));
         println!(
             "  {arm:<14} achieved {:>8.0} qps  p50 {:>8.1} us  p99 {:>9.1} us  \
-             replans {:>2} ({} skipped)  migrations {:>2}  {measured:>7.1} ns/request{}",
+             replans {:>2} ({} skipped)  migrations {:>2}  {measured:>7.1} ns/request{cmp}",
             report.achieved_qps,
             report.p50_latency_ns / 1e3,
             report.p99_latency_ns / 1e3,
             dsnap.replans_triggered,
             dsnap.replans_skipped,
             dsnap.migrations_completed,
-            if base > 0.0 {
-                format!("  {speedup:.2}x vs baseline")
-            } else {
-                String::new()
-            }
         );
-        if base > 0.0 && measured > base * 1.20 {
-            regressions.push(format!(
-                "{arm}: {measured:.1} ns/request vs baseline {base:.1} (+{:.0}%)",
-                (measured / base - 1.0) * 100.0
-            ));
-        }
         rows.push(Row {
             arm: arm.to_string(),
             offered_qps: offered,
@@ -456,8 +346,8 @@ fn main() {
             migrated_kb: dsnap.migrated_bytes as f64 / 1024.0,
             migration_us: dsnap.migration_ns / 1e3,
             measured_ns_per_request: measured,
-            baseline_ns_per_request: base,
-            speedup_vs_baseline: speedup,
+            baseline_ns_per_request: cmp.base,
+            speedup_vs_baseline: cmp.speedup,
         });
         results.push((arm, report, dsnap));
     }
@@ -513,63 +403,40 @@ fn main() {
          static controls > {GATE_RATIO})"
     );
 
-    if let Some(path) = check {
-        if regressions.is_empty() {
-            println!("check vs {path}: OK (no >20% ns/request regression)");
-            return;
-        }
-        eprintln!("check vs {path}: REGRESSION");
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        std::process::exit(1);
-    }
-
-    let mut doc: Vec<(String, Value)> = vec![
-        ("bench".into(), Value::Str("drift_sweep".into())),
-        ("dataset".into(), Value::Str("goodreads/2000".into())),
-        ("nr_dpus".into(), Value::UInt(NR_DPUS as u64)),
-        ("num_tables".into(), Value::UInt(NUM_TABLES as u64)),
-        ("dim".into(), Value::UInt(DIM as u64)),
-        ("max_batch".into(), Value::UInt(MAX_BATCH as u64)),
-        ("num_sets".into(), Value::UInt(NUM_SETS as u64)),
-        ("set_size".into(), Value::UInt(SET_SIZE as u64)),
-        ("hot_fraction".into(), Value::Float(HOT_FRACTION)),
-        ("load_frac".into(), Value::Float(LOAD_FRAC)),
-        ("replan_every_batches".into(), Value::UInt(REPLAN_EVERY)),
-        ("rotation_period_ns".into(), Value::UInt(period_ns)),
-        ("capacity_qps".into(), Value::Float(capacity_qps)),
-        ("offered_qps".into(), Value::Float(offered)),
-        (
-            "spike_target_set".into(),
-            Value::UInt(SPIKE_TARGET_SET as u64),
-        ),
-        ("spike_extra_hot".into(), Value::Float(SPIKE_EXTRA_HOT)),
-        ("diurnal_cycles".into(), Value::Float(DIURNAL_CYCLES)),
-        ("diurnal_amplitude".into(), Value::Float(DIURNAL_AMPLITUDE)),
-        ("gate_ratio".into(), Value::Float(GATE_RATIO)),
-        (
-            "p99_vs_steady".into(),
-            Value::Object(
-                ratios
-                    .iter()
-                    .map(|(a, r)| (a.clone(), Value::Float(*r)))
-                    .collect(),
+    traj.finish(
+        vec![
+            ("bench".into(), Value::Str("drift_sweep".into())),
+            ("dataset".into(), Value::Str("goodreads/2000".into())),
+            ("nr_dpus".into(), Value::UInt(NR_DPUS as u64)),
+            ("num_tables".into(), Value::UInt(NUM_TABLES as u64)),
+            ("dim".into(), Value::UInt(DIM as u64)),
+            ("max_batch".into(), Value::UInt(MAX_BATCH as u64)),
+            ("num_sets".into(), Value::UInt(NUM_SETS as u64)),
+            ("set_size".into(), Value::UInt(SET_SIZE as u64)),
+            ("hot_fraction".into(), Value::Float(HOT_FRACTION)),
+            ("load_frac".into(), Value::Float(LOAD_FRAC)),
+            ("replan_every_batches".into(), Value::UInt(REPLAN_EVERY)),
+            ("rotation_period_ns".into(), Value::UInt(period_ns)),
+            ("capacity_qps".into(), Value::Float(capacity_qps)),
+            ("offered_qps".into(), Value::Float(offered)),
+            (
+                "spike_target_set".into(),
+                Value::UInt(SPIKE_TARGET_SET as u64),
             ),
-        ),
-        ("smoke".into(), Value::Bool(smoke)),
-        (
-            "rows".into(),
-            Value::Array(rows.iter().map(serde::Serialize::to_value).collect()),
-        ),
-    ];
-    if let Some(b) = baseline_value {
-        doc.push(("baseline_label".into(), Value::Str(label)));
-        doc.push(("baseline_rows".into(), b));
-    }
-    let json = serde::json::to_string_pretty(&Value::Object(doc));
-    match std::fs::write(&out_path, json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => eprintln!("warning: cannot write {out_path}: {e}"),
-    }
+            ("spike_extra_hot".into(), Value::Float(SPIKE_EXTRA_HOT)),
+            ("diurnal_cycles".into(), Value::Float(DIURNAL_CYCLES)),
+            ("diurnal_amplitude".into(), Value::Float(DIURNAL_AMPLITUDE)),
+            ("gate_ratio".into(), Value::Float(GATE_RATIO)),
+            (
+                "p99_vs_steady".into(),
+                Value::Object(
+                    ratios
+                        .iter()
+                        .map(|(a, r)| (a.clone(), Value::Float(*r)))
+                        .collect(),
+                ),
+            ),
+        ],
+        &rows,
+    );
 }

@@ -123,12 +123,5 @@ fn main() {
         dataset: "goodreads/2000".to_string(),
         rows,
     };
-    let json = serde::json::to_string_pretty(&out);
-    // cargo runs benches with cwd = the package dir; anchor at the
-    // repo root, where all BENCH_*.json trajectory files live.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pipeline.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    bench::trajectory::write_json(&bench::trajectory::repo_path("BENCH_pipeline.json"), &out);
 }

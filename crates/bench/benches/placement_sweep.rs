@@ -21,17 +21,14 @@
 //! `placement::plan` per catalog row — the planner is on the serving
 //! control path (replanning on traffic shift), so its throughput is a
 //! software cost worth gating. It lands in `BENCH_placement.json` at
-//! the repo root. Flags (same protocol as `sched_sweep`):
-//!
-//! * `--smoke` — two scales, short window
-//! * `--check FILE` — compare against FILE's rows; exit nonzero on a
-//!   >20% ns/row regression; do not write output
-//! * `--baseline-label S` — label adopted rows when FILE had no baseline
-//! * `--out FILE` — output path (default: repo-root JSON)
+//! the repo root, under the flags, baseline carry-forward and >20%
+//! ns/row gate of [`bench::trajectory`]; `--smoke` runs two scales with
+//! a short window.
 
 use std::hint::black_box;
 
 use bench::timing;
+use bench::trajectory::{self, Gate, Trajectory};
 use dlrm_model::EmbeddingTable;
 use placement::{plan, Catalog, PlacementPlan, PlannerConfig};
 use serde::Value;
@@ -141,100 +138,13 @@ fn modeled_batch_ns(p: &PlacementPlan, tables: &[EmbeddingTable], workload: &Wor
     total / workload.batches.len() as f64
 }
 
-fn num(v: &Value) -> Option<f64> {
-    match v {
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-/// scale -> measured ns/row, hand-parsed so schema drift across PRs
-/// never breaks reading old files.
-fn parse_rows(rows: &Value) -> Vec<(u64, f64)> {
-    let Value::Array(rows) = rows else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|r| {
-            let scale = num(r.get("scale")?)? as u64;
-            let ns = num(r.get("measured_ns_per_row")?)?;
-            Some((scale, ns))
-        })
-        .collect()
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut smoke = false;
-    let mut check: Option<String> = None;
-    let mut baseline_label = "previous run".to_string();
-    let default_out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_placement.json")
-        .to_string_lossy()
-        .into_owned();
-    let mut out_path = default_out;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = Some(args.next().expect("--check needs a file")),
-            "--baseline-label" => {
-                baseline_label = args.next().expect("--baseline-label needs a value")
-            }
-            "--out" => out_path = args.next().expect("--out needs a file"),
-            "--bench" => {} // passed by `cargo bench`
-            other => eprintln!("ignoring unknown arg {other}"),
-        }
-    }
+    let mut traj = Trajectory::from_env(
+        "BENCH_placement.json",
+        Gate::lower("measured_ns_per_row", "ns/row"),
+    );
+    let smoke = traj.smoke();
     let sweep = if smoke { SMOKE } else { FULL };
-
-    // Cargo runs bench binaries from the package directory, so resolve
-    // relative paths against the repo root — CI passes plain
-    // `BENCH_placement.json` and means the committed file.
-    let rooted = |p: String| {
-        if std::path::Path::new(&p).is_relative() {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(&p)
-                .to_string_lossy()
-                .into_owned()
-        } else {
-            p
-        }
-    };
-    let check = check.map(rooted);
-    let out_path = rooted(out_path);
-
-    let baseline_src = check.clone().unwrap_or_else(|| out_path.clone());
-    let old: Option<Value> = std::fs::read_to_string(&baseline_src)
-        .ok()
-        .and_then(|s| serde::json::from_str(&s).ok());
-    // In check mode a missing or malformed baseline is a failure, not a
-    // free pass — CI relies on this to keep the committed trajectory
-    // file honest.
-    if check.is_some() {
-        let usable = old
-            .as_ref()
-            .and_then(|v| v.get("rows"))
-            .map(parse_rows)
-            .is_some_and(|rows| !rows.is_empty());
-        if !usable {
-            eprintln!("check: baseline {baseline_src} is missing, malformed, or has no rows");
-            std::process::exit(1);
-        }
-    }
-    let (baseline_rows, baseline_value, label) = match &old {
-        Some(v) => {
-            let rows = v.get("rows").map(parse_rows).unwrap_or_default();
-            if rows.is_empty() {
-                (Vec::new(), None, baseline_label.clone())
-            } else {
-                (rows, v.get("rows").cloned(), baseline_label.clone())
-            }
-        }
-        None => (Vec::new(), None, baseline_label.clone()),
-    };
 
     println!(
         "placement sweep: {NUM_TABLES} tables, dim {DIM}, {NR_RANKS} ranks x \
@@ -245,7 +155,6 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    let mut regressions = Vec::new();
     for &scale in sweep.scales {
         let (spec, workload, tables) = build(scale);
         let catalog = Catalog::homogeneous(NUM_TABLES, spec.num_items, DIM);
@@ -283,12 +192,9 @@ fn main() {
         });
         let total_rows = catalog.total_bytes() / (DIM * 4);
         let measured = m.mean_ns / total_rows as f64;
-        let base = baseline_rows
-            .iter()
-            .find(|(s, _)| *s == scale)
-            .map(|(_, ns)| *ns)
-            .unwrap_or(0.0);
-        let speedup_vs_baseline = if base > 0.0 { base / measured } else { 0.0 };
+        let cmp = traj.compare(&format!("scale {scale}x"), measured, |r| {
+            trajectory::num(r, "scale") == Some(scale as f64)
+        });
 
         let host: usize = tiered_plan.tables.iter().map(|t| t.host_rows.len()).sum();
         let rep: usize = tiered_plan
@@ -299,24 +205,13 @@ fn main() {
         let cold = tiered_plan.total_rows() - host - rep;
         println!(
             "  scale {scale:>3}x  {:>7} rows/table  tiered {:>9.1} us  mram {:>9.1} us  \
-             ({:.2}x modeled, {:.2}x planner est)  {measured:>7.1} ns/row{}",
+             ({:.2}x modeled, {:.2}x planner est)  {measured:>7.1} ns/row{cmp}",
             spec.num_items,
             tiered_ns / 1e3,
             mram_ns / 1e3,
             mram_ns / tiered_ns,
             est_speedup,
-            if base > 0.0 {
-                format!("  {speedup_vs_baseline:.2}x vs baseline")
-            } else {
-                String::new()
-            }
         );
-        if base > 0.0 && measured > base * 1.20 {
-            regressions.push(format!(
-                "scale {scale}x: {measured:.1} ns/row vs baseline {base:.1} (+{:.0}%)",
-                (measured / base - 1.0) * 100.0
-            ));
-        }
         rows.push(Row {
             scale,
             rows_per_table: spec.num_items,
@@ -329,8 +224,8 @@ fn main() {
             modeled_speedup: mram_ns / tiered_ns,
             est_speedup,
             measured_ns_per_row: measured,
-            baseline_ns_per_row: base,
-            speedup_vs_baseline,
+            baseline_ns_per_row: cmp.base,
+            speedup_vs_baseline: cmp.speedup,
         });
     }
 
@@ -383,44 +278,21 @@ fn main() {
     }
     println!("knee OK: tiering never loses, decays to a 1.3x+ Zipf-head win at 10-100x");
 
-    if let Some(path) = check {
-        if regressions.is_empty() {
-            println!("check vs {path}: OK (no >20% ns/row regression)");
-            return;
-        }
-        eprintln!("check vs {path}: REGRESSION");
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        std::process::exit(1);
-    }
-
-    let mut doc: Vec<(String, Value)> = vec![
-        ("bench".into(), Value::Str("placement_sweep".into())),
-        ("dataset".into(), Value::Str("goodreads, scaled".into())),
-        ("num_tables".into(), Value::UInt(NUM_TABLES as u64)),
-        ("dim".into(), Value::UInt(DIM as u64)),
-        ("nr_ranks".into(), Value::UInt(NR_RANKS as u64)),
-        ("dpus_per_rank".into(), Value::UInt(DPUS_PER_RANK as u64)),
-        (
-            "host_cache_bytes".into(),
-            Value::UInt(HOST_CACHE_BYTES as u64),
-        ),
-        ("replicate_top".into(), Value::UInt(REPLICATE_TOP as u64)),
-        ("num_batches".into(), Value::UInt(NUM_BATCHES as u64)),
-        ("smoke".into(), Value::Bool(smoke)),
-        (
-            "rows".into(),
-            Value::Array(rows.iter().map(serde::Serialize::to_value).collect()),
-        ),
-    ];
-    if let Some(b) = baseline_value {
-        doc.push(("baseline_label".into(), Value::Str(label)));
-        doc.push(("baseline_rows".into(), b));
-    }
-    let json = serde::json::to_string_pretty(&Value::Object(doc));
-    match std::fs::write(&out_path, json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => eprintln!("warning: cannot write {out_path}: {e}"),
-    }
+    traj.finish(
+        vec![
+            ("bench".into(), Value::Str("placement_sweep".into())),
+            ("dataset".into(), Value::Str("goodreads, scaled".into())),
+            ("num_tables".into(), Value::UInt(NUM_TABLES as u64)),
+            ("dim".into(), Value::UInt(DIM as u64)),
+            ("nr_ranks".into(), Value::UInt(NR_RANKS as u64)),
+            ("dpus_per_rank".into(), Value::UInt(DPUS_PER_RANK as u64)),
+            (
+                "host_cache_bytes".into(),
+                Value::UInt(HOST_CACHE_BYTES as u64),
+            ),
+            ("replicate_top".into(), Value::UInt(REPLICATE_TOP as u64)),
+            ("num_batches".into(), Value::UInt(NUM_BATCHES as u64)),
+        ],
+        &rows,
+    );
 }

@@ -16,18 +16,15 @@
 //! The *measured* number tracked across PRs is the simulator's own
 //! wall clock per offered request around `Scheduler::run` — the cost
 //! of the event loop + admission queue + batch assembly + engine. It
-//! lands in `BENCH_sched.json` at the repo root. Flags (same protocol
-//! as `steady_state`):
-//!
-//! * `--smoke` — two load points, short window
-//! * `--check FILE` — compare against FILE's rows; exit nonzero on a
-//!   >20% ns/request regression; do not write output
-//! * `--baseline-label S` — label adopted rows when FILE had no baseline
-//! * `--out FILE` — output path (default: repo-root JSON)
+//! lands in `BENCH_sched.json` at the repo root, under the flags,
+//! baseline carry-forward and >20% ns/request gate of
+//! [`bench::trajectory`]; `--smoke` runs two load points with a short
+//! window.
 
 use std::hint::black_box;
 
 use bench::timing;
+use bench::trajectory::{self, Gate, Trajectory};
 use dlrm_model::EmbeddingTable;
 use scheduler::{OverloadPolicy, SchedConfig, SchedReport, Scheduler};
 use serde::Value;
@@ -124,100 +121,13 @@ fn run_once(eng: &mut UpdlrmEngine, workload: &Workload, s: &mut Scheduler) -> S
     s.run(eng, workload, |_, _, _, _| {}).expect("runs")
 }
 
-fn num(v: &Value) -> Option<f64> {
-    match v {
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-/// load_pct -> measured ns/request, hand-parsed so schema drift across
-/// PRs never breaks reading old files.
-fn parse_rows(rows: &Value) -> Vec<(u64, f64)> {
-    let Value::Array(rows) = rows else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|r| {
-            let pct = num(r.get("load_pct")?)? as u64;
-            let ns = num(r.get("measured_ns_per_request")?)?;
-            Some((pct, ns))
-        })
-        .collect()
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut smoke = false;
-    let mut check: Option<String> = None;
-    let mut baseline_label = "previous run".to_string();
-    let default_out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_sched.json")
-        .to_string_lossy()
-        .into_owned();
-    let mut out_path = default_out;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = Some(args.next().expect("--check needs a file")),
-            "--baseline-label" => {
-                baseline_label = args.next().expect("--baseline-label needs a value")
-            }
-            "--out" => out_path = args.next().expect("--out needs a file"),
-            "--bench" => {} // passed by `cargo bench`
-            other => eprintln!("ignoring unknown arg {other}"),
-        }
-    }
+    let mut traj = Trajectory::from_env(
+        "BENCH_sched.json",
+        Gate::lower("measured_ns_per_request", "ns/request"),
+    );
+    let smoke = traj.smoke();
     let sweep = if smoke { SMOKE } else { FULL };
-
-    // Cargo runs bench binaries from the package directory, so resolve
-    // relative paths against the repo root — CI passes plain
-    // `BENCH_sched.json` and means the committed file.
-    let rooted = |p: String| {
-        if std::path::Path::new(&p).is_relative() {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(&p)
-                .to_string_lossy()
-                .into_owned()
-        } else {
-            p
-        }
-    };
-    let check = check.map(rooted);
-    let out_path = rooted(out_path);
-
-    let baseline_src = check.clone().unwrap_or_else(|| out_path.clone());
-    let old: Option<Value> = std::fs::read_to_string(&baseline_src)
-        .ok()
-        .and_then(|s| serde::json::from_str(&s).ok());
-    // In check mode a missing or malformed baseline is a failure, not a
-    // free pass — CI relies on this to keep the committed trajectory
-    // file honest.
-    if check.is_some() {
-        let usable = old
-            .as_ref()
-            .and_then(|v| v.get("rows"))
-            .map(parse_rows)
-            .is_some_and(|rows| !rows.is_empty());
-        if !usable {
-            eprintln!("check: baseline {baseline_src} is missing, malformed, or has no rows");
-            std::process::exit(1);
-        }
-    }
-    let (baseline_rows, baseline_value, label) = match &old {
-        Some(v) => {
-            let rows = v.get("rows").map(parse_rows).unwrap_or_default();
-            if rows.is_empty() {
-                (Vec::new(), None, baseline_label.clone())
-            } else {
-                (rows, v.get("rows").cloned(), baseline_label.clone())
-            }
-        }
-        None => (Vec::new(), None, baseline_label.clone()),
-    };
 
     let (tables, base_workload) = build(sweep.num_batches);
 
@@ -235,7 +145,6 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    let mut regressions = Vec::new();
     let mut reports: Vec<(u64, SchedReport)> = Vec::new();
     for &pct in sweep.load_pct {
         let offered = capacity_qps * pct as f64 / 100.0;
@@ -256,31 +165,17 @@ fn main() {
             black_box(run_once(black_box(&mut eng), black_box(&wl), &mut s));
         });
         let measured = m.mean_ns / report.requests as f64;
-        let base = baseline_rows
-            .iter()
-            .find(|(p, _)| *p == pct)
-            .map(|(_, ns)| *ns)
-            .unwrap_or(0.0);
-        let speedup = if base > 0.0 { base / measured } else { 0.0 };
+        let cmp = traj.compare(&format!("load {pct}%"), measured, |r| {
+            trajectory::num(r, "load_pct") == Some(pct as f64)
+        });
         println!(
             "  load {pct:>3}%  offered {offered:>9.0} qps  achieved {:>9.0} qps  \
-             p99 {:>8.1} us  shed {:>4}  fill {:>4.1}  {measured:>7.1} ns/request{}",
+             p99 {:>8.1} us  shed {:>4}  fill {:>4.1}  {measured:>7.1} ns/request{cmp}",
             report.achieved_qps,
             report.p99_latency_ns / 1e3,
             report.shed,
             report.mean_batch_size,
-            if base > 0.0 {
-                format!("  {speedup:.2}x vs baseline")
-            } else {
-                String::new()
-            }
         );
-        if base > 0.0 && measured > base * 1.20 {
-            regressions.push(format!(
-                "load {pct}%: {measured:.1} ns/request vs baseline {base:.1} (+{:.0}%)",
-                (measured / base - 1.0) * 100.0
-            ));
-        }
         rows.push(Row {
             load_pct: pct,
             offered_qps: offered,
@@ -292,8 +187,8 @@ fn main() {
             p50_latency_us: report.p50_latency_ns / 1e3,
             p99_latency_us: report.p99_latency_ns / 1e3,
             measured_ns_per_request: measured,
-            baseline_ns_per_request: base,
-            speedup_vs_baseline: speedup,
+            baseline_ns_per_request: cmp.base,
+            speedup_vs_baseline: cmp.speedup,
         });
         reports.push((pct, report));
     }
@@ -328,42 +223,19 @@ fn main() {
     }
     println!("knee OK: plateau at {capacity_qps:.0} qps, p99 grows, shedding engages");
 
-    if let Some(path) = check {
-        if regressions.is_empty() {
-            println!("check vs {path}: OK (no >20% ns/request regression)");
-            return;
-        }
-        eprintln!("check vs {path}: REGRESSION");
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        std::process::exit(1);
-    }
-
-    let mut doc: Vec<(String, Value)> = vec![
-        ("bench".into(), Value::Str("sched_sweep".into())),
-        ("dataset".into(), Value::Str("goodreads/2000".into())),
-        ("nr_dpus".into(), Value::UInt(NR_DPUS as u64)),
-        ("num_tables".into(), Value::UInt(NUM_TABLES as u64)),
-        ("dim".into(), Value::UInt(DIM as u64)),
-        ("max_batch".into(), Value::UInt(MAX_BATCH as u64)),
-        ("max_wait_ns".into(), Value::UInt(MAX_WAIT_NS)),
-        ("queue_cap".into(), Value::UInt(QUEUE_CAP as u64)),
-        ("policy".into(), Value::Str("shed-oldest".into())),
-        ("capacity_qps".into(), Value::Float(capacity_qps)),
-        ("smoke".into(), Value::Bool(smoke)),
-        (
-            "rows".into(),
-            Value::Array(rows.iter().map(serde::Serialize::to_value).collect()),
-        ),
-    ];
-    if let Some(b) = baseline_value {
-        doc.push(("baseline_label".into(), Value::Str(label)));
-        doc.push(("baseline_rows".into(), b));
-    }
-    let json = serde::json::to_string_pretty(&Value::Object(doc));
-    match std::fs::write(&out_path, json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => eprintln!("warning: cannot write {out_path}: {e}"),
-    }
+    traj.finish(
+        vec![
+            ("bench".into(), Value::Str("sched_sweep".into())),
+            ("dataset".into(), Value::Str("goodreads/2000".into())),
+            ("nr_dpus".into(), Value::UInt(NR_DPUS as u64)),
+            ("num_tables".into(), Value::UInt(NUM_TABLES as u64)),
+            ("dim".into(), Value::UInt(DIM as u64)),
+            ("max_batch".into(), Value::UInt(MAX_BATCH as u64)),
+            ("max_wait_ns".into(), Value::UInt(MAX_WAIT_NS)),
+            ("queue_cap".into(), Value::UInt(QUEUE_CAP as u64)),
+            ("policy".into(), Value::Str("shed-oldest".into())),
+            ("capacity_qps".into(), Value::Float(capacity_qps)),
+        ],
+        &rows,
+    );
 }

@@ -25,24 +25,18 @@
 //! configuration rides along and must model a strictly smaller stage-2
 //! than its f32 twin.
 //!
-//! Results land in `BENCH_steady_state.json` at the repo root. A
-//! previously committed file's rows are carried forward as
-//! `baseline_rows` (label via `--baseline-label`), so the perf
-//! trajectory accumulates across PRs. Every row records the SIMD tier
-//! (`simd`) and EMT dtype (`embed_dtype`) it measured; baseline rows
-//! only gate rows with the same tier and dtype (rows from before these
-//! fields existed match any). Flags:
-//!
-//! * `--smoke` — tiny sweep (batch 16, 3 batches, short window)
-//! * `--check FILE` — compare against FILE's rows; exit nonzero on a
-//!   >20% ns/sample regression; do not write output
-//! * `--baseline-label S` — label adopted rows when FILE had no baseline
-//! * `--out FILE` — output path (default: repo-root JSON)
+//! Results land in `BENCH_steady_state.json` at the repo root, under
+//! the flags, baseline carry-forward and >20% ns/sample gate of
+//! [`bench::trajectory`]; `--smoke` is a tiny sweep (batch 16, 3
+//! batches, short window). Every row records the SIMD tier (`simd`) and
+//! EMT dtype (`embed_dtype`) it measured; baseline rows only gate rows
+//! of the same tier and dtype ([`trajectory::same_kernel`]).
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use bench::timing;
+use bench::trajectory::{self, Gate, Trajectory};
 use dlrm_model::{simd, EmbedDtype, EmbeddingTable};
 use serde::Value;
 use updlrm_core::{
@@ -238,144 +232,14 @@ fn assert_scalar_identity(
     true
 }
 
-fn num(v: &Value) -> Option<f64> {
-    match v {
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-/// One baseline row, hand-parsed so schema drift across PRs never
-/// breaks reading old files. `simd`/`embed_dtype` are `None` for rows
-/// written before those fields existed — they match any current row.
-struct BaseRow {
-    batch_size: usize,
-    mode: String,
-    ns: f64,
-    simd: Option<String>,
-    embed_dtype: Option<String>,
-}
-
-fn parse_rows(rows: &Value) -> Vec<BaseRow> {
-    let Value::Array(rows) = rows else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|r| {
-            let batch_size = num(r.get("batch_size")?)? as usize;
-            let mode = match r.get("mode")? {
-                Value::Str(s) => s.clone(),
-                _ => return None,
-            };
-            let ns = num(r.get("measured_ns_per_sample")?)?;
-            let text = |k: &str| match r.get(k) {
-                Some(Value::Str(s)) => Some(s.clone()),
-                _ => None,
-            };
-            Some(BaseRow {
-                batch_size,
-                mode,
-                ns,
-                simd: text("simd"),
-                embed_dtype: text("embed_dtype"),
-            })
-        })
-        .collect()
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut smoke = false;
-    let mut check: Option<String> = None;
-    let mut baseline_label = "previous run".to_string();
-    let default_out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_steady_state.json")
-        .to_string_lossy()
-        .into_owned();
-    let mut out_path = default_out;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = Some(args.next().expect("--check needs a file")),
-            "--baseline-label" => {
-                baseline_label = args.next().expect("--baseline-label needs a value")
-            }
-            "--out" => out_path = args.next().expect("--out needs a file"),
-            "--bench" => {} // passed by `cargo bench`
-            other => eprintln!("ignoring unknown arg {other}"),
-        }
-    }
+    let mut traj = Trajectory::from_env(
+        "BENCH_steady_state.json",
+        Gate::lower("measured_ns_per_sample", "ns/sample"),
+    );
+    let smoke = traj.smoke();
     let sweep = if smoke { SMOKE } else { FULL };
-
-    // Cargo runs bench binaries from the package directory, so resolve
-    // relative paths against the repo root — CI passes plain
-    // `BENCH_steady_state.json` and means the committed file.
-    let rooted = |p: String| {
-        if std::path::Path::new(&p).is_relative() {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(&p)
-                .to_string_lossy()
-                .into_owned()
-        } else {
-            p
-        }
-    };
-    let check = check.map(rooted);
-    let out_path = rooted(out_path);
-
-    // Baseline: from --check FILE, else from the existing output file.
-    let baseline_src = check.clone().unwrap_or_else(|| out_path.clone());
-    let old: Option<Value> = std::fs::read_to_string(&baseline_src)
-        .ok()
-        .and_then(|s| serde::json::from_str(&s).ok());
-    // In check mode a missing or malformed baseline is a failure, not a
-    // free pass — CI relies on this to keep the committed trajectory
-    // file honest.
-    if check.is_some() {
-        let usable = old
-            .as_ref()
-            .and_then(|v| v.get("rows"))
-            .map(parse_rows)
-            .is_some_and(|rows| !rows.is_empty());
-        if !usable {
-            eprintln!("check: baseline {baseline_src} is missing, malformed, or has no rows");
-            std::process::exit(1);
-        }
-    }
-    // Prefer the file's own measured rows (they describe the committed
-    // code); fall back to its carried baseline only if rows are absent.
-    let (baseline_rows, baseline_value, label) = match &old {
-        Some(v) => {
-            let rows = v.get("rows").map(parse_rows).unwrap_or_default();
-            if rows.is_empty() {
-                (Vec::new(), None, baseline_label.clone())
-            } else {
-                (rows, v.get("rows").cloned(), baseline_label.clone())
-            }
-        }
-        None => (Vec::new(), None, baseline_label.clone()),
-    };
     let simd_tier = simd::tier_name().to_string();
-    // A baseline row gates only rows of the same tier and dtype.
-    // Rows predating the `simd` field match any tier (the carried
-    // history stays meaningful); rows predating `embed_dtype` measured
-    // f32, so they gate only f32 rows. Coldstart rows never match a
-    // serve row's mode.
-    let find_base = |batch_size: usize, mode: &str, dtype: &str| -> f64 {
-        baseline_rows
-            .iter()
-            .find(|r| {
-                r.batch_size == batch_size
-                    && r.mode == mode
-                    && r.simd.as_deref().is_none_or(|s| s == simd_tier)
-                    && r.embed_dtype.as_deref().unwrap_or("f32") == dtype
-            })
-            .map(|r| r.ns)
-            .unwrap_or(0.0)
-    };
 
     println!(
         "steady-state sweep: {NUM_TABLES} tables x {NR_DPUS} DPUs, goodreads/2000, \
@@ -403,10 +267,9 @@ fn main() {
     };
 
     let mut rows: Vec<Row> = Vec::new();
-    let mut regressions = Vec::new();
     let mut coldstart_ns = None;
     let measure = |rows: &mut Vec<Row>,
-                   regressions: &mut Vec<String>,
+                   traj: &mut Trajectory,
                    tables: &[EmbeddingTable],
                    batch_size: usize,
                    mode: PipelineMode,
@@ -448,25 +311,21 @@ fn main() {
             .fold((0.0, 0.0, 0.0), |(a, b, c), bd| {
                 (a + bd.stage1_ns, b + bd.stage2_ns, c + bd.stage3_ns)
             });
-        let base = find_base(batch_size, mode.as_str(), dtype_name);
-        let speedup = if base > 0.0 { base / measured } else { 0.0 };
+        // Coldstart rows never match a serve row's mode.
+        let cmp = traj.compare(
+            &format!("b={batch_size} {mode} {dtype_name}"),
+            measured,
+            |r| {
+                trajectory::num(r, "batch_size") == Some(batch_size as f64)
+                    && trajectory::text(r, "mode") == Some(mode.as_str())
+                    && trajectory::same_kernel(r, &simd_tier, dtype_name)
+            },
+        );
         println!(
             "  b={batch_size:<4} {mode:<10} {dtype_name:<5} {measured:>9.1} ns/sample \
-             (model {modeled:>9.1}, host share {:.2}, telemetry {telemetry_overhead_pct:+.1}%){}",
+             (model {modeled:>9.1}, host share {:.2}, telemetry {telemetry_overhead_pct:+.1}%){cmp}",
             host / total_with_host,
-            if base > 0.0 {
-                format!("  {speedup:.2}x vs baseline")
-            } else {
-                String::new()
-            }
         );
-        if base > 0.0 && measured > base * 1.20 {
-            regressions.push(format!(
-                "b={batch_size} {mode} {dtype_name}: {measured:.1} ns/sample vs baseline \
-                 {base:.1} (+{:.0}%)",
-                (measured / base - 1.0) * 100.0
-            ));
-        }
         rows.push(Row {
             batch_size,
             mode: mode.as_str().to_string(),
@@ -482,8 +341,8 @@ fn main() {
             stage2_ns_per_sample: s2 / samples as f64,
             stage3_ns_per_sample: s3 / samples as f64,
             telemetry_overhead_pct,
-            baseline_ns_per_sample: base,
-            speedup_vs_baseline: speedup,
+            baseline_ns_per_sample: cmp.base,
+            speedup_vs_baseline: cmp.speedup,
         });
     };
 
@@ -493,7 +352,7 @@ fn main() {
         for mode in [PipelineMode::Sequential, PipelineMode::DoubleBuf] {
             measure(
                 &mut rows,
-                &mut regressions,
+                &mut traj,
                 &tables,
                 batch_size,
                 mode,
@@ -510,7 +369,7 @@ fn main() {
         let (tables, _) = load_tables();
         measure(
             &mut rows,
-            &mut regressions,
+            &mut traj,
             &tables,
             int8_batch,
             PipelineMode::Sequential,
@@ -532,18 +391,6 @@ fn main() {
         );
     }
     let _ = std::fs::remove_file(&pack_path);
-
-    if let Some(path) = check {
-        if regressions.is_empty() {
-            println!("check vs {path}: OK (no >20% ns/sample regression)");
-            return;
-        }
-        eprintln!("check vs {path}: REGRESSION");
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        std::process::exit(1);
-    }
 
     // The cold-start row: total wall of the first packed-table
     // mmap-load of this run. Reported for trajectory visibility only —
@@ -569,25 +416,14 @@ fn main() {
         speedup_vs_baseline: 0.0,
     });
 
-    let mut doc: Vec<(String, Value)> = vec![
-        ("bench".into(), Value::Str("steady_state".into())),
-        ("dataset".into(), Value::Str("goodreads/2000".into())),
-        ("nr_dpus".into(), Value::UInt(NR_DPUS as u64)),
-        ("num_tables".into(), Value::UInt(NUM_TABLES as u64)),
-        ("dim".into(), Value::UInt(DIM as u64)),
-        ("smoke".into(), Value::Bool(smoke)),
-        (
-            "rows".into(),
-            Value::Array(rows.iter().map(serde::Serialize::to_value).collect()),
-        ),
-    ];
-    if let Some(b) = baseline_value {
-        doc.push(("baseline_label".into(), Value::Str(label)));
-        doc.push(("baseline_rows".into(), b));
-    }
-    let json = serde::json::to_string_pretty(&Value::Object(doc));
-    match std::fs::write(&out_path, json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => eprintln!("warning: cannot write {out_path}: {e}"),
-    }
+    traj.finish(
+        vec![
+            ("bench".into(), Value::Str("steady_state".into())),
+            ("dataset".into(), Value::Str("goodreads/2000".into())),
+            ("nr_dpus".into(), Value::UInt(NR_DPUS as u64)),
+            ("num_tables".into(), Value::UInt(NUM_TABLES as u64)),
+            ("dim".into(), Value::UInt(DIM as u64)),
+        ],
+        &rows,
+    );
 }

@@ -26,18 +26,14 @@
 //!
 //! The *measured* number tracked across PRs is wall time per offered
 //! request around fleet build + `TenantFleet::run`. It lands in
-//! `BENCH_tenants.json` at the repo root. Flags (same protocol as
-//! `drift_sweep`):
-//!
-//! * `--smoke` — short timing window, same traces and gates
-//! * `--check FILE` — compare against FILE's rows; exit nonzero on a
-//!   >20% ns/request regression; do not write output
-//! * `--baseline-label S` — label adopted rows when FILE had no baseline
-//! * `--out FILE` — output path (default: repo-root JSON)
+//! `BENCH_tenants.json` at the repo root, under the flags, baseline
+//! carry-forward and >20% ns/request gate of [`bench::trajectory`];
+//! `--smoke` shortens only the timing window (same traces and gates).
 
 use std::hint::black_box;
 
 use bench::timing;
+use bench::trajectory::{self, Gate, Trajectory};
 use serde::Value;
 use tenancy::{Arbitration, ArrivalKind, FleetConfig, FleetReport, TenantFleet, TenantSpec};
 
@@ -136,96 +132,13 @@ struct Row {
     speedup_vs_baseline: f64,
 }
 
-fn num(v: &Value) -> Option<f64> {
-    match v {
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-/// arm -> measured ns/request, hand-parsed so schema drift across PRs
-/// never breaks reading old files.
-fn parse_rows(rows: &Value) -> Vec<(String, f64)> {
-    let Value::Array(rows) = rows else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|r| {
-            let Value::Str(arm) = r.get("arm")? else {
-                return None;
-            };
-            let ns = num(r.get("measured_ns_per_request")?)?;
-            Some((arm.clone(), ns))
-        })
-        .collect()
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut smoke = false;
-    let mut check: Option<String> = None;
-    let mut baseline_label = "previous run".to_string();
-    let default_out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_tenants.json")
-        .to_string_lossy()
-        .into_owned();
-    let mut out_path = default_out;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = Some(args.next().expect("--check needs a file")),
-            "--baseline-label" => {
-                baseline_label = args.next().expect("--baseline-label needs a value")
-            }
-            "--out" => out_path = args.next().expect("--out needs a file"),
-            "--bench" => {} // passed by `cargo bench`
-            other => eprintln!("ignoring unknown arg {other}"),
-        }
-    }
+    let mut traj = Trajectory::from_env(
+        "BENCH_tenants.json",
+        Gate::lower("measured_ns_per_request", "ns/request"),
+    );
+    let smoke = traj.smoke();
     let sweep = if smoke { SMOKE } else { FULL };
-
-    let rooted = |p: String| {
-        if std::path::Path::new(&p).is_relative() {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(&p)
-                .to_string_lossy()
-                .into_owned()
-        } else {
-            p
-        }
-    };
-    let check = check.map(rooted);
-    let out_path = rooted(out_path);
-
-    let baseline_src = check.clone().unwrap_or_else(|| out_path.clone());
-    let old: Option<Value> = std::fs::read_to_string(&baseline_src)
-        .ok()
-        .and_then(|s| serde::json::from_str(&s).ok());
-    if check.is_some() {
-        let usable = old
-            .as_ref()
-            .and_then(|v| v.get("rows"))
-            .map(parse_rows)
-            .is_some_and(|rows| !rows.is_empty());
-        if !usable {
-            eprintln!("check: baseline {baseline_src} is missing, malformed, or has no rows");
-            std::process::exit(1);
-        }
-    }
-    let (baseline_rows, baseline_value, label) = match &old {
-        Some(v) => {
-            let rows = v.get("rows").map(parse_rows).unwrap_or_default();
-            if rows.is_empty() {
-                (Vec::new(), None, baseline_label.clone())
-            } else {
-                (rows, v.get("rows").cloned(), baseline_label.clone())
-            }
-        }
-        None => (Vec::new(), None, baseline_label.clone()),
-    };
 
     let solo = [victim()];
     let duo = [victim(), adversary()];
@@ -242,7 +155,6 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    let mut regressions = Vec::new();
     let mut results: Vec<(&str, FleetReport, Vec<u32>)> = Vec::new();
     for (arm, specs, arbitration) in arms {
         // Determinism identity before anything is timed: the whole
@@ -262,32 +174,16 @@ fn main() {
             black_box(run_arm(black_box(specs), arbitration));
         });
         let measured = m.mean_ns / requests as f64;
-        let base = baseline_rows
-            .iter()
-            .find(|(a, _)| a == arm)
-            .map(|(_, ns)| *ns)
-            .unwrap_or(0.0);
-        let speedup = if base > 0.0 { base / measured } else { 0.0 };
+        let cmp = traj.compare(arm, measured, |r| trajectory::text(r, "arm") == Some(arm));
         let v = &report.tenants[0].sched;
         println!(
             "  {arm:<12} victim p50 {:>7.1} us  p99 {:>8.1} us  completed {:>5}  \
-             util {:.2}  {measured:>7.1} ns/request{}",
+             util {:.2}  {measured:>7.1} ns/request{cmp}",
             v.p50_latency_ns / 1e3,
             v.p99_latency_ns / 1e3,
             v.completed,
             report.fleet_utilization,
-            if base > 0.0 {
-                format!("  {speedup:.2}x vs baseline")
-            } else {
-                String::new()
-            }
         );
-        if base > 0.0 && measured > base * 1.20 {
-            regressions.push(format!(
-                "{arm}: {measured:.1} ns/request vs baseline {base:.1} (+{:.0}%)",
-                (measured / base - 1.0) * 100.0
-            ));
-        }
         rows.push(Row {
             arm: arm.to_string(),
             victim_offered_qps: v.offered_qps,
@@ -299,8 +195,8 @@ fn main() {
             adversary_shed: report.tenants.get(1).map_or(0, |t| t.sched.shed),
             fleet_utilization: report.fleet_utilization,
             measured_ns_per_request: measured,
-            baseline_ns_per_request: base,
-            speedup_vs_baseline: speedup,
+            baseline_ns_per_request: cmp.base,
+            speedup_vs_baseline: cmp.speedup,
         });
         results.push((arm, report, bits));
     }
@@ -349,38 +245,15 @@ fn main() {
          {ratio_fcfs:.2}x solo — the adversary no longer stresses the fleet"
     );
 
-    if let Some(path) = check {
-        if regressions.is_empty() {
-            println!("check vs {path}: OK (no >20% ns/request regression)");
-            return;
-        }
-        eprintln!("check vs {path}: REGRESSION");
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        std::process::exit(1);
-    }
-
-    let mut doc: Vec<(String, Value)> = vec![
-        ("bench".into(), Value::Str("tenants".into())),
-        ("fleet_dpus".into(), Value::UInt(FLEET_DPUS as u64)),
-        ("quantum_ns".into(), Value::UInt(QUANTUM_NS)),
-        ("gate_ratio".into(), Value::Float(GATE_RATIO)),
-        ("victim_p99_ratio_drr".into(), Value::Float(ratio_drr)),
-        ("victim_p99_ratio_fcfs".into(), Value::Float(ratio_fcfs)),
-        ("smoke".into(), Value::Bool(smoke)),
-        (
-            "rows".into(),
-            Value::Array(rows.iter().map(serde::Serialize::to_value).collect()),
-        ),
-    ];
-    if let Some(b) = baseline_value {
-        doc.push(("baseline_label".into(), Value::Str(label)));
-        doc.push(("baseline_rows".into(), b));
-    }
-    let json = serde::json::to_string_pretty(&Value::Object(doc));
-    match std::fs::write(&out_path, json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => eprintln!("warning: cannot write {out_path}: {e}"),
-    }
+    traj.finish(
+        vec![
+            ("bench".into(), Value::Str("tenants".into())),
+            ("fleet_dpus".into(), Value::UInt(FLEET_DPUS as u64)),
+            ("quantum_ns".into(), Value::UInt(QUANTUM_NS)),
+            ("gate_ratio".into(), Value::Float(GATE_RATIO)),
+            ("victim_p99_ratio_drr".into(), Value::Float(ratio_drr)),
+            ("victim_p99_ratio_fcfs".into(), Value::Float(ratio_fcfs)),
+        ],
+        &rows,
+    );
 }

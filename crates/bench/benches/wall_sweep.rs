@@ -13,15 +13,11 @@
 //! Wall numbers are machine- and neighbour-dependent, so the `--check`
 //! gate is deliberately loose: a row regresses only when measured QPS
 //! falls below 65% of the committed baseline. Modeled fields stay
-//! exact. Output lands in `BENCH_wall.json` at the repo root. Flags
-//! (same protocol as `sched_sweep`):
-//!
-//! * `--smoke` — fewer shard counts, shorter trace
-//! * `--check FILE` — compare against FILE's rows; exit nonzero on a
-//!   >35% measured-QPS regression; do not write output
-//! * `--baseline-label S` — label adopted rows when FILE had no baseline
-//! * `--out FILE` — output path (default: repo-root JSON)
+//! exact. Output lands in `BENCH_wall.json` at the repo root, under the
+//! flags and baseline carry-forward of [`bench::trajectory`]; `--smoke`
+//! runs fewer shard counts on a shorter trace.
 
+use bench::trajectory::{self, Better, Gate, Trajectory};
 use dlrm_model::EmbeddingTable;
 use runtime::{Runtime, RuntimeConfig, RuntimeReport};
 use scheduler::{report_is_finite, OverloadPolicy, SchedConfig, Scheduler};
@@ -139,99 +135,18 @@ fn run_wall(
         .expect("wall run completes")
 }
 
-fn num(v: &Value) -> Option<f64> {
-    match v {
-        Value::UInt(u) => Some(*u as f64),
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-/// shards -> measured QPS, hand-parsed so schema drift across PRs
-/// never breaks reading old files.
-fn parse_rows(rows: &Value) -> Vec<(u64, f64)> {
-    let Value::Array(rows) = rows else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|r| {
-            let shards = num(r.get("shards")?)? as u64;
-            let qps = num(r.get("measured_qps")?)?;
-            Some((shards, qps))
-        })
-        .collect()
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut smoke = false;
-    let mut check: Option<String> = None;
-    let mut baseline_label = "previous run".to_string();
-    let default_out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_wall.json")
-        .to_string_lossy()
-        .into_owned();
-    let mut out_path = default_out;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = Some(args.next().expect("--check needs a file")),
-            "--baseline-label" => {
-                baseline_label = args.next().expect("--baseline-label needs a value")
-            }
-            "--out" => out_path = args.next().expect("--out needs a file"),
-            "--bench" => {} // passed by `cargo bench`
-            other => eprintln!("ignoring unknown arg {other}"),
-        }
-    }
+    let mut traj = Trajectory::from_env(
+        "BENCH_wall.json",
+        Gate {
+            metric: "measured_qps",
+            unit: "qps",
+            better: Better::Higher,
+            bound: 0.65,
+        },
+    );
+    let smoke = traj.smoke();
     let sweep = if smoke { SMOKE } else { FULL };
-
-    // Cargo runs bench binaries from the package directory, so resolve
-    // relative paths against the repo root — CI passes plain
-    // `BENCH_wall.json` and means the committed file.
-    let rooted = |p: String| {
-        if std::path::Path::new(&p).is_relative() {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(&p)
-                .to_string_lossy()
-                .into_owned()
-        } else {
-            p
-        }
-    };
-    let check = check.map(rooted);
-    let out_path = rooted(out_path);
-
-    let baseline_src = check.clone().unwrap_or_else(|| out_path.clone());
-    let old: Option<Value> = std::fs::read_to_string(&baseline_src)
-        .ok()
-        .and_then(|s| serde::json::from_str(&s).ok());
-    // In check mode a missing or malformed baseline is a failure, not a
-    // free pass — CI relies on this to keep the committed file honest.
-    if check.is_some() {
-        let usable = old
-            .as_ref()
-            .and_then(|v| v.get("rows"))
-            .map(parse_rows)
-            .is_some_and(|rows| !rows.is_empty());
-        if !usable {
-            eprintln!("check: baseline {baseline_src} is missing, malformed, or has no rows");
-            std::process::exit(1);
-        }
-    }
-    let (baseline_rows, baseline_value, label) = match &old {
-        Some(v) => {
-            let rows = v.get("rows").map(parse_rows).unwrap_or_default();
-            if rows.is_empty() {
-                (Vec::new(), None, baseline_label.clone())
-            } else {
-                (rows, v.get("rows").cloned(), baseline_label.clone())
-            }
-        }
-        None => (Vec::new(), None, baseline_label.clone()),
-    };
 
     let (tables, workload) = build(sweep.num_batches);
     let total_queries: usize = workload.batches.iter().map(|b| b.batch_size()).sum();
@@ -259,7 +174,6 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    let mut regressions = Vec::new();
     for &shards in sweep.shard_counts {
         let r = run_wall(&tables, &workload, queue_cap, shards, false);
         assert_eq!(
@@ -268,30 +182,16 @@ fn main() {
         );
         assert!(report_is_finite(&r.sched), "{shards} shards: {:?}", r.sched);
         let measured = r.wall.measured_qps;
-        let base = baseline_rows
-            .iter()
-            .find(|(s, _)| *s == shards as u64)
-            .map(|(_, qps)| *qps)
-            .unwrap_or(0.0);
-        let speedup = if base > 0.0 { measured / base } else { 0.0 };
+        let cmp = traj.compare(&format!("shards {shards}"), measured, |r| {
+            trajectory::num(r, "shards") == Some(shards as f64)
+        });
         println!(
             "  shards {shards}  measured {measured:>9.0} qps over {:>7.1} ms  \
-             p95 {:>9.1} us  (modeled {:>9.0} qps){}",
+             p95 {:>9.1} us  (modeled {:>9.0} qps){cmp}",
             r.wall.wall_elapsed_ns / 1e6,
             r.sched.p95_latency_ns / 1e3,
             modeled.achieved_qps,
-            if base > 0.0 {
-                format!("  {speedup:.2}x vs baseline")
-            } else {
-                String::new()
-            }
         );
-        if base > 0.0 && measured < base * 0.65 {
-            regressions.push(format!(
-                "shards {shards}: {measured:.0} qps vs baseline {base:.0} (-{:.0}%)",
-                (1.0 - measured / base) * 100.0
-            ));
-        }
         rows.push(Row {
             shards: shards as u64,
             requests: r.sched.requests,
@@ -303,48 +203,25 @@ fn main() {
             measured_p95_us: r.sched.p95_latency_ns / 1e3,
             modeled_qps: modeled.achieved_qps,
             modeled_p95_us: modeled.p95_latency_ns / 1e3,
-            baseline_qps: base,
-            speedup_vs_baseline: speedup,
+            baseline_qps: cmp.base,
+            speedup_vs_baseline: cmp.speedup,
         });
     }
 
-    if let Some(path) = check {
-        if regressions.is_empty() {
-            println!("check vs {path}: OK (no >35% measured-QPS regression)");
-            return;
-        }
-        eprintln!("check vs {path}: REGRESSION");
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        std::process::exit(1);
-    }
-
-    let mut doc: Vec<(String, Value)> = vec![
-        ("bench".into(), Value::Str("wall_sweep".into())),
-        ("dataset".into(), Value::Str("goodreads/2000".into())),
-        ("nr_dpus".into(), Value::UInt(NR_DPUS as u64)),
-        ("num_tables".into(), Value::UInt(NUM_TABLES as u64)),
-        ("dim".into(), Value::UInt(DIM as u64)),
-        ("max_batch".into(), Value::UInt(MAX_BATCH as u64)),
-        ("max_wait_ns".into(), Value::UInt(MAX_WAIT_NS)),
-        ("queue_cap".into(), Value::UInt(queue_cap as u64)),
-        ("policy".into(), Value::Str("shed-oldest".into())),
-        ("offered_qps".into(), Value::Float(SATURATING_QPS)),
-        ("modeled_qps".into(), Value::Float(modeled.achieved_qps)),
-        ("smoke".into(), Value::Bool(smoke)),
-        (
-            "rows".into(),
-            Value::Array(rows.iter().map(serde::Serialize::to_value).collect()),
-        ),
-    ];
-    if let Some(b) = baseline_value {
-        doc.push(("baseline_label".into(), Value::Str(label)));
-        doc.push(("baseline_rows".into(), b));
-    }
-    let json = serde::json::to_string_pretty(&Value::Object(doc));
-    match std::fs::write(&out_path, json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => eprintln!("warning: cannot write {out_path}: {e}"),
-    }
+    traj.finish(
+        vec![
+            ("bench".into(), Value::Str("wall_sweep".into())),
+            ("dataset".into(), Value::Str("goodreads/2000".into())),
+            ("nr_dpus".into(), Value::UInt(NR_DPUS as u64)),
+            ("num_tables".into(), Value::UInt(NUM_TABLES as u64)),
+            ("dim".into(), Value::UInt(DIM as u64)),
+            ("max_batch".into(), Value::UInt(MAX_BATCH as u64)),
+            ("max_wait_ns".into(), Value::UInt(MAX_WAIT_NS)),
+            ("queue_cap".into(), Value::UInt(queue_cap as u64)),
+            ("policy".into(), Value::Str("shed-oldest".into())),
+            ("offered_qps".into(), Value::Float(SATURATING_QPS)),
+            ("modeled_qps".into(), Value::Float(modeled.achieved_qps)),
+        ],
+        &rows,
+    );
 }

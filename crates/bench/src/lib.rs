@@ -17,6 +17,7 @@ pub mod experiments;
 pub mod report;
 pub mod setup;
 pub mod timing;
+pub mod trajectory;
 
 pub use report::{fmt_ns, BarChart, Table};
 pub use setup::{EvalConfig, EvalSetup};

@@ -86,6 +86,13 @@ fn r_str<R: Read>(r: &mut R) -> io::Result<String> {
     String::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
+/// An empty vector with room for `n` elements, but never more than
+/// 2^16: `n` comes from the file, and a forged length must hit EOF in
+/// `read_exact`, not a multi-exabyte allocation up front.
+fn reserve<T>(n: usize) -> Vec<T> {
+    Vec::with_capacity(n.min(1 << 16))
+}
+
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
@@ -163,7 +170,7 @@ fn r_drift<R: Read>(reader: &mut R) -> io::Result<DriftSchedule> {
     if n_spikes > 1 << 16 {
         return Err(bad("spike count implausible"));
     }
-    let mut spikes = Vec::with_capacity(n_spikes);
+    let mut spikes = reserve(n_spikes);
     for _ in 0..n_spikes {
         spikes.push(FlashCrowd {
             start_ns: r_u64(reader)?,
@@ -207,7 +214,7 @@ fn r_arrivals<R: Read>(reader: &mut R) -> io::Result<ArrivalTrace> {
     if n > 1 << 28 {
         return Err(bad("arrival count implausible"));
     }
-    let mut times_ns = Vec::with_capacity(n);
+    let mut times_ns = reserve(n);
     let mut prev = 0u64;
     for _ in 0..n {
         let t = r_u64(reader)?;
@@ -372,25 +379,25 @@ impl Workload {
         if n_batches > 1 << 24 {
             return Err(bad("batch count implausible"));
         }
-        let mut batches = Vec::with_capacity(n_batches);
+        let mut batches = reserve(n_batches);
         for _ in 0..n_batches {
             let dense_len = r_u64(reader)? as usize;
-            let mut dense = Vec::with_capacity(dense_len);
+            let mut dense = reserve(dense_len);
             for _ in 0..dense_len {
                 let mut b = [0u8; 4];
                 reader.read_exact(&mut b)?;
                 dense.push(f32::from_le_bytes(b));
             }
             let n_sparse = r_u64(reader)? as usize;
-            let mut sparse = Vec::with_capacity(n_sparse);
+            let mut sparse = reserve(n_sparse);
             for _ in 0..n_sparse {
                 let n_off = r_u64(reader)? as usize;
-                let mut offsets = Vec::with_capacity(n_off);
+                let mut offsets = reserve(n_off);
                 for _ in 0..n_off {
                     offsets.push(r_u64(reader)? as usize);
                 }
                 let n_idx = r_u64(reader)? as usize;
-                let mut indices = Vec::with_capacity(n_idx);
+                let mut indices = reserve(n_idx);
                 for _ in 0..n_idx {
                     indices.push(r_u64(reader)?);
                 }
@@ -637,6 +644,27 @@ mod tests {
         sample_workload().save(&mut buf).unwrap();
         buf.truncate(buf.len() / 2);
         assert!(Workload::load(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn forged_lengths_hit_eof_instead_of_reserving() {
+        // A workload without batches serializes to exactly the header,
+        // so its length is the offset of the first batch's `dense_len`.
+        let w = sample_workload();
+        let mut header = Vec::new();
+        Workload {
+            batches: Vec::new(),
+            ..w.clone()
+        }
+        .save(&mut header)
+        .unwrap();
+        let mut buf = Vec::new();
+        w.save(&mut buf).unwrap();
+        let at = header.len();
+        assert_eq!(buf[..at - 8], header[..at - 8]);
+        buf[at..at + 8].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        let err = Workload::load(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -1609,7 +1609,10 @@ fn cmd_stats(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         usage()
     };
     let text = std::fs::read_to_string(path)?;
-    let snap: Snapshot = serde::json::from_str(&text)?;
+    let snap: Snapshot = serde::json::from_str(&text).unwrap_or_else(|e| {
+        eprintln!("metrics snapshot {path} is not a snapshot: {e}");
+        std::process::exit(2)
+    });
     if snap.schema_version != SNAPSHOT_SCHEMA_VERSION {
         eprintln!(
             "metrics snapshot {path} has schema v{}, but this binary reads v{}; \

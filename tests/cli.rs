@@ -698,6 +698,27 @@ fn stats_rejects_snapshots_from_other_schema_versions() {
 }
 
 #[test]
+fn stats_rejects_deeply_nested_json() {
+    // Regression: the JSON parser recursed once per `[` with no limit,
+    // so this file overflowed the stack and aborted the process.
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("deep.json");
+    let depth = 200_000;
+    std::fs::write(&path, "[".repeat(depth) + &"]".repeat(depth)).expect("write deep.json");
+    let out = updlrm()
+        .arg("stats")
+        .arg("--metrics")
+        .arg(&path)
+        .output()
+        .expect("stats");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("nesting"), "stderr: {err}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn trace_with_arrivals_emits_a_v2_file_that_round_trips() {
     let dir = std::env::temp_dir().join("updlrm-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -1038,6 +1059,49 @@ fn trace_then_serve_replans_a_v3_workload() {
     for p in [&trace_path, &snap_path] {
         std::fs::remove_file(p).ok();
     }
+}
+
+#[test]
+fn serve_rejects_forged_workload_lengths() {
+    use updlrm::prelude::*;
+
+    // Regression: the loader reserved memory for lengths read from the
+    // file, so a forged first `dense_len` of 2^61 panicked with
+    // `capacity overflow` (exit 101) before any byte was checked.
+    let dir = std::env::temp_dir().join("updlrm-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("forged.upwl");
+    let spec = DatasetSpec::goodreads().scaled_down(5000);
+    let mut workload = Workload::generate(
+        &spec,
+        TraceConfig {
+            num_batches: 1,
+            ..TraceConfig::default()
+        },
+    );
+    workload.stamp_arrivals(ArrivalProcess::poisson(10_000.0, 7));
+    // Without batches the file is exactly the header, so its length is
+    // the offset of the first batch's `dense_len`.
+    let mut header = Vec::new();
+    let mut empty = workload.clone();
+    empty.batches.clear();
+    empty.save(&mut header).expect("save header");
+    let mut bytes = Vec::new();
+    workload.save(&mut bytes).expect("save");
+    let at = header.len();
+    bytes[at..at + 8].copy_from_slice(&(1u64 << 61).to_le_bytes());
+    std::fs::write(&path, bytes).expect("write forged.upwl");
+
+    let out = updlrm()
+        .args(["serve", "--dpus", "128"])
+        .arg("--workload-v3")
+        .arg(&path)
+        .output()
+        .expect("serve");
+    assert_eq!(out.status.code(), Some(2), "forged lengths must exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--workload-v3"), "stderr: {err}");
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
